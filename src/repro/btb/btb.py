@@ -349,12 +349,13 @@ def replay_stream(stream: AccessStream, btb,
     return btb.stats, per_branch
 
 
+# Unused by the engine; kept because perfbench/tracer.py binds it by name.
 def replay_stream_multi(stream: AccessStream, btbs) -> List[BTBStats]:
     """Replay one access stream through several BTB models in a single
     sweep; returns their stats in order.
 
-    Result-identical to calling :func:`replay_stream` once per model —
-    that is the contract ``tests/test_multi_replay.py`` enforces — but
+    Result-identical to calling :func:`replay_stream` once per model
+    (``tests/test_kernel_equivalence.py`` enforces that contract), but
     the stream is traversed once instead of once per model.  Models whose
     policy has a fast-path kernel replay through it (all kernels share
     the stream's memoized partition and list mirrors, so the per-sweep

@@ -3,9 +3,8 @@ write the manifest.
 
 The engine owns run-scoped policy (store location, worker count, retry
 budget, manifest directory) and run lifecycle (run ids, journals,
-resume, failure reporting); everything else is delegated — planning to
-:class:`~repro.harness.engine.planner.Planner`, execution to an
-:class:`~repro.harness.engine.executor.Executor`, per-run state to
+resume, failure reporting); everything else is delegated — execution
+to an :class:`~repro.harness.engine.executor.Executor`, per-run state to
 :class:`~repro.harness.engine.context.RunContext`.  Library users who
 need finer control can compose those pieces directly; the façade keeps
 the one-call ``engine.run(jobs)`` surface everything else in the repo
@@ -30,7 +29,6 @@ from repro.harness.engine.executor import (AsyncExecutor, Executor,
 from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
                                        _stats_delta, default_job_timeout,
                                        default_jobs, default_max_retries)
-from repro.harness.engine.planner import Planner
 from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
                                         default_cache_dir)
 from repro.harness.reporting import CacheStats
@@ -117,7 +115,6 @@ class ExperimentEngine:
             self.store = (ArtifactStore(self.cache_dir, salt=self.salt)
                           if self.cache_dir else None)
         self.stats = CacheStats()
-        self.planner = Planner()
         self.max_retries = (default_max_retries() if max_retries is None
                             else max(0, int(max_retries)))
         if job_timeout is None:
@@ -316,7 +313,7 @@ class ExperimentEngine:
         :class:`ExperimentError` contract) with cooperative execution:
         the event loop keeps running while jobs compute, and terminal
         results stream through ``on_result`` as they land — this is the
-        seam :mod:`repro.service` builds its coalescing sweeps on.
+        seam :mod:`repro.service` builds its request coalescing on.
         ``concurrency`` bounds simultaneous attempts (see
         :class:`~repro.harness.engine.executor.AsyncExecutor` for why it
         defaults to 1).

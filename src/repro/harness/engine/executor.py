@@ -8,8 +8,8 @@ attempts run:
 
 * :class:`SerialExecutor` — in the calling thread, one harness per
   machine config (bit-identical to driving a :class:`Harness` by hand).
-* :class:`ProcessPoolJobExecutor` — batches over a process pool with
-  shared-memory stream exports and worker-death re-sharding.
+* :class:`ProcessPoolJobExecutor` — batches (see :func:`plan_batches`)
+  over a process pool with worker-death re-sharding.
 * :class:`AsyncExecutor` — attempts on ``loop.run_in_executor`` threads
   so an asyncio service can interleave engine runs with its event loop
   (cooperative: results stream back between attempts, backoff awaits
@@ -21,14 +21,13 @@ from __future__ import annotations
 import asyncio
 import logging
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.harness.engine.context import RunContext
 from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
                                        _backoff_sleep, _fast_mode,
                                        backoff_delay)
-from repro.harness.engine.keys import stream_key
-from repro.harness.engine.planner import Planner
+from repro.harness.engine.keys import batch_key
 from repro.harness.engine.worker import _execute_guarded, run_job_batch
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.metrics import get_registry
@@ -36,7 +35,26 @@ from repro.telemetry.metrics import get_registry
 log = logging.getLogger(__name__)
 
 __all__ = ["AsyncExecutor", "Executor", "ProcessPoolJobExecutor",
-           "SerialExecutor"]
+           "SerialExecutor", "plan_batches"]
+
+
+def plan_batches(jobs: Sequence[SimJob], target: int) -> List[List[int]]:
+    """Group job indices by :func:`~repro.harness.engine.keys.batch_key`
+    so each worker builds one trace and access stream for its group's
+    policies; the largest batch is split in half while there are fewer
+    batches than ``target`` workers and it holds more than one job."""
+    groups: Dict[Any, List[int]] = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(batch_key(job), []).append(i)
+    batches = list(groups.values())
+    while len(batches) < target:
+        largest = max(batches, key=len)
+        if len(largest) <= 1:
+            break
+        batches.remove(largest)
+        mid = len(largest) // 2
+        batches.extend([largest[:mid], largest[mid:]])
+    return batches
 
 
 class Executor:
@@ -57,7 +75,6 @@ class Executor:
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self.planner: Planner = engine.planner
 
     def execute(self, ctx: RunContext, pending: Sequence[int]) -> None:
         raise NotImplementedError
@@ -76,14 +93,8 @@ class SerialExecutor(Executor):
         queue = list(pending)
         round_no = 0
         while queue:
-            # Retry rounds replay each job alone: a group sweep memoized
-            # before a fault could resurrect a value the retry is meant
-            # to recompute through the store.
-            groups = (self.planner.plan_groups(
-                          [ctx.jobs[i] for i in queue])
-                      if round_no == 0 else [None] * len(queue))
             retry: List[int] = []
-            for qi, i in enumerate(queue):
+            for i in queue:
                 job = ctx.jobs[i]
                 config = job.harness_config()
                 harness = harnesses.get(config)
@@ -99,8 +110,7 @@ class SerialExecutor(Executor):
                 result = _execute_guarded(
                     job, index=i, attempt=ctx.attempts[i] - 1,
                     store=engine.store, harness=harness, salt=engine.salt,
-                    job_timeout=engine.job_timeout, in_worker=False,
-                    group=groups[qi])
+                    job_timeout=engine.job_timeout, in_worker=False)
                 if ctx.record_outcome(i, result):
                     retry.append(i)
             if retry:
@@ -119,34 +129,16 @@ class ProcessPoolJobExecutor(Executor):
         engine = self.engine
         cache_root = str(engine.cache_dir) if engine.cache_dir else None
         queue = list(pending)
-        exports: Dict[Any, Any] = {}
-        try:
-            self._run_rounds(ctx, queue, cache_root, exports,
-                             BrokenProcessPool)
-        finally:
-            for exported in exports.values():
-                exported.close()
-
-    def _run_rounds(self, ctx: RunContext, queue: List[int],
-                    cache_root: Optional[str], exports: Dict[Any, Any],
-                    BrokenProcessPool) -> None:
-        engine = self.engine
         round_no = 0
         while queue:
             if round_no == 0:
-                local = self.planner.plan_batches(
-                    [ctx.jobs[i] for i in queue],
-                    min(engine.jobs, len(queue)))
+                local = plan_batches([ctx.jobs[i] for i in queue],
+                                     min(engine.jobs, len(queue)))
                 batches = [[queue[li] for li in b] for b in local]
-                exports.update(self.planner.plan_stream_exports(
-                    [[ctx.jobs[i] for i in batch] for batch in batches],
-                    engine.store))
             else:
                 # Retry rounds run every job in its own isolation batch
                 # (on a fresh pool): one poison job can then take down at
-                # most itself, never re-kill healthy neighbours.  They
-                # also drop the shared-memory handles — a retried job
-                # rebuilds everything through the store.
+                # most itself, never re-kill healthy neighbours.
                 batches = [[i] for i in queue]
             workers = min(engine.jobs, len(batches))
             retry: List[int] = []
@@ -155,18 +147,11 @@ class ProcessPoolJobExecutor(Executor):
                 for batch in batches:
                     for i in batch:
                         ctx.start_attempt(i)
-                    handles = None
-                    if round_no == 0:
-                        exported = exports.get(
-                            stream_key(ctx.jobs[batch[0]]))
-                        if exported is not None:
-                            handles = [exported.handle]
                     future = pool.submit(
                         run_job_batch, [ctx.jobs[i] for i in batch],
                         cache_root, engine.salt, indices=list(batch),
                         attempts=[ctx.attempts[i] - 1 for i in batch],
-                        job_timeout=engine.job_timeout,
-                        stream_handles=handles)
+                        job_timeout=engine.job_timeout)
                     futures[future] = batch
                 for future in as_completed(futures):
                     batch = futures[future]
@@ -214,10 +199,8 @@ class AsyncExecutor(Executor):
     ``concurrency`` bounds simultaneous attempts and defaults to 1: the
     telemetry registry is process-global and not thread-safe, and one
     compute thread already saturates a core on the pure-Python
-    simulators.  Group sweeps stay correct at any concurrency (the
-    :class:`~repro.harness.engine.planner.GroupReplay` memo is locked),
-    but counter deltas may interleave above 1 — raise it only for
-    I/O-bound (fully cached) sweeps.
+    simulators.  Counter deltas may interleave above 1 — raise it only
+    for I/O-bound (fully cached) sweeps.
     """
 
     def __init__(self, engine, concurrency: int = 1) -> None:
@@ -233,12 +216,9 @@ class AsyncExecutor(Executor):
         queue = list(pending)
         round_no = 0
         while queue:
-            groups = (self.planner.plan_groups(
-                          [ctx.jobs[i] for i in queue])
-                      if round_no == 0 else [None] * len(queue))
             retry: List[int] = []
 
-            async def attempt(qi: int, i: int) -> None:
+            async def attempt(i: int) -> None:
                 job = ctx.jobs[i]
                 config = job.harness_config()
                 harness = harnesses.get(config)
@@ -255,12 +235,11 @@ class AsyncExecutor(Executor):
                             store=engine.store, harness=harness,
                             salt=engine.salt,
                             job_timeout=engine.job_timeout,
-                            in_worker=False, group=groups[qi]))
+                            in_worker=False))
                 if ctx.record_outcome(i, result):
                     retry.append(i)
 
-            await asyncio.gather(*(attempt(qi, i)
-                                   for qi, i in enumerate(queue)))
+            await asyncio.gather(*(attempt(i) for i in queue))
             if retry:
                 retry.sort()
                 if not _fast_mode():

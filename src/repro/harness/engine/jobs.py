@@ -2,10 +2,9 @@
 :class:`JobResult`, the :class:`JobState` machine, attempt deadlines,
 and retry backoff.
 
-This layer knows how to describe and run *one* simulation; planning
-(which jobs share a sweep) lives in
-:mod:`repro.harness.engine.planner`, worker entry points in
-:mod:`repro.harness.engine.worker`, and orchestration in
+This layer knows how to describe and run *one* simulation; worker entry
+points live in :mod:`repro.harness.engine.worker`, batching and
+execution in :mod:`repro.harness.engine.executor`, and orchestration in
 :mod:`repro.harness.engine.core`.
 """
 

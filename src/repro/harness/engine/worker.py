@@ -11,14 +11,13 @@ from __future__ import annotations
 import copy
 import logging
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.harness.engine.jobs import (JobResult, JobState,
                                        JobTimeoutError, SimJob,
                                        _stats_delta, execute_job,
                                        job_deadline)
 from repro.harness.reporting import CacheStats
-from repro.harness.engine.planner import GroupReplay
 from repro.harness.engine.store import (ArtifactStore,
                                         QuotaExceededError,
                                         STORE_VERSION)
@@ -38,16 +37,12 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
             store: Optional[ArtifactStore] = None,
             harness: Optional[Harness] = None, *,
             index: Optional[int] = None, attempt: int = 0,
-            in_worker: bool = False,
-            group: Optional[GroupReplay] = None) -> JobResult:
+            in_worker: bool = False) -> JobResult:
     """Worker entry point (module-level so process pools can pickle it).
 
     Checks the store for the finished result first; on a miss, computes it
     through a harness whose intermediate artifacts (trace, profile, hints)
-    are themselves store-backed.  When the job belongs to a
-    :class:`GroupReplay` (and a harness is supplied), the miss is served
-    from the group's single-pass multi-policy sweep instead of a solo
-    replay — same value, one stream walk for the whole group.
+    are themselves store-backed.
 
     ``index``/``attempt`` identify this attempt within an engine run; when
     a :mod:`fault plan <repro.testing.faults>` is active they select which
@@ -90,12 +85,7 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
             jspan.set(cached=cached)
             if value is None:
                 with store.stats.stage(job.mode):
-                    if group is not None and harness is not None:
-                        value = group.compute(job, harness, store,
-                                              store.salt)
-                    if value is None:
-                        value = execute_job(job, harness=harness,
-                                            store=store)
+                    value = execute_job(job, harness=harness, store=store)
                 try:
                     with trace_span("store/put", kind=job.mode):
                         store.put(job.mode, key, value)
@@ -111,11 +101,7 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
                     log.warning("injected corruption into stored %s "
                                 "artifact of job %d", job.mode, index)
         else:
-            value = None
-            if group is not None and harness is not None:
-                value = group.compute(job, harness, None, salt)
-            if value is None:
-                value = execute_job(job, harness=harness)
+            value = execute_job(job, harness=harness)
             jspan.set(cached=False)
     elapsed = time.perf_counter() - start
     stats = (_stats_delta(store.stats, baseline)
@@ -132,8 +118,7 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
                      harness: Optional[Harness] = None,
                      salt: str = STORE_VERSION,
                      job_timeout: Optional[float] = None,
-                     in_worker: bool = False,
-                     group: Optional[GroupReplay] = None) -> JobResult:
+                     in_worker: bool = False) -> JobResult:
     """One attempt that *always* returns a :class:`JobResult`.
 
     Timeouts and exceptions are folded into the result's ``state`` /
@@ -149,7 +134,7 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
             with job_deadline(job_timeout):
                 result = run_job(job, store=store, harness=harness,
                                  salt=salt, index=index, attempt=attempt,
-                                 in_worker=in_worker, group=group)
+                                 in_worker=in_worker)
         except JobTimeoutError as exc:
             result = JobResult(job=job, value=None, cached=False,
                                seconds=time.perf_counter() - start,
@@ -167,45 +152,11 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
     return result
 
 
-def _attach_shared_streams(stream_handles) -> List[Tuple[Any, Any]]:
-    """Attach the parent's exported streams (worker side).
-
-    Each attached stream is adopted into this process's stream memo, so
-    :func:`~repro.trace.stream.access_stream_for` serves the zero-copy
-    columns instead of rebuilding them.  Any attach failure (the parent
-    unlinked early, platform refuses the mapping, ...) just drops that
-    handle — the job recomputes through the store as before.
-    """
-    if not stream_handles:
-        return []
-    from repro.trace.shm import attach_stream
-    from repro.trace.stream import adopt_stream
-    registry = get_registry()
-    adopted = []
-    for handle in stream_handles:
-        try:
-            stream = attach_stream(handle)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            log.warning("could not attach shared stream %s for %s/%d "
-                        "(%s: %s); falling back to the store",
-                        handle.shm_name, handle.app, handle.input_id,
-                        type(exc).__name__, exc)
-            continue
-        adopt_stream(stream)
-        adopted.append((handle, stream))
-        registry.count("engine/shm/attached")
-    return adopted
-
-
 def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                   salt: str = STORE_VERSION,
                   indices: Optional[Sequence[int]] = None,
                   attempts: Optional[Sequence[int]] = None,
-                  job_timeout: Optional[float] = None,
-                  stream_handles: Optional[Sequence[Any]] = None
-                  ) -> List[JobResult]:
+                  job_timeout: Optional[float] = None) -> List[JobResult]:
     """Worker entry point for a *group* of jobs (module-level so process
     pools can pickle it).
 
@@ -217,12 +168,6 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     a failed or timed-out job yields a failed :class:`JobResult` and the
     rest of the batch still runs.
 
-    ``stream_handles`` (see :mod:`repro.trace.shm`) carries the parent's
-    shared-memory exports of the group's trace and access-stream columns:
-    attaching replaces this worker's store unpickle and column rebuild
-    with zero-copy views.  Handles are hints — any attach failure falls
-    back to the store path.
-
     ``REPRO_PROFILE=cprofile|tracemalloc`` wraps the batch in a deep
     profiler (see :mod:`repro.telemetry.profile_hooks`).
     """
@@ -232,32 +177,19 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                   else [None] * len(jobs))
     attempt_list = (list(attempts) if attempts is not None
                     else [0] * len(jobs))
-    adopted = _attach_shared_streams(stream_handles)
     harnesses: Dict[HarnessConfig, Harness] = {}
     results: List[JobResult] = []
-    groups = GroupReplay.plan(jobs)
     with worker_profile(cache_root):
-        for job, index, attempt, group in zip(jobs, index_list,
-                                              attempt_list, groups):
+        for job, index, attempt in zip(jobs, index_list, attempt_list):
             config = job.harness_config()
             harness = harnesses.get(config)
             if harness is None:
                 harness = Harness(config, store=store)
-                for handle, stream in adopted:
-                    if handle.length == config.length:
-                        harness.adopt_trace(handle.app, handle.input_id,
-                                            stream.trace)
                 harnesses[config] = harness
             results.append(_execute_guarded(
                 job, index=index, attempt=attempt, store=store,
                 harness=harness, salt=salt, job_timeout=job_timeout,
-                in_worker=True, group=group))
-    # Streams were attached before any per-job telemetry delta started;
-    # piggy-back the count on the last result so it reaches the parent.
-    if results and adopted:
-        counters = results[-1].telemetry.setdefault("counters", {})
-        counters["engine/shm/attached"] = (
-            counters.get("engine/shm/attached", 0) + len(adopted))
+                in_worker=True))
     # The profile hook records its gauges after every per-job delta was
     # taken; piggy-back them on the last result so they reach the parent.
     registry = get_registry()

@@ -26,13 +26,10 @@ Writes a ``BENCH_kernel.json`` record so CI tracks the perf trajectory::
 ``--replay-output`` additionally runs the per-policy fast-vs-reference
 replay breakdown (the kernels of ``repro.btb.kernels`` against the
 reference per-access loop, traces/hints/streams precomputed, passes
-interleaved — every kernelized policy by default) plus the multi-policy
-sweep-vs-serial comparison (``run_misses_multi`` against N independent
-``run_misses``, the engine's group-replay path) and writes a
+interleaved — every kernelized policy by default) and writes a
 ``BENCH_replay.json`` record.  When that file already exists its
 recorded ``floors`` become the gate: the run exits 1 if any policy's
-measured speedup drops below its floor, or if the multi-policy sweep
-falls below its own floor.
+measured speedup drops below its floor.
 
 ``--sim-output`` runs the per-app fast-vs-reference ``simulate``
 breakdown (the stage-decoupled frontend kernel of
@@ -67,9 +64,8 @@ from repro.trace.stream import access_stream_for, clear_stream_cache
 from repro.workloads import make_app_trace
 from repro.workloads.datacenter import app_names
 
-__all__ = ["main", "run_benchmark", "run_multi_benchmark",
-           "run_replay_benchmark", "run_sim_benchmark",
-           "check_replay_floors", "check_sim_floors"]
+__all__ = ["main", "run_benchmark", "run_replay_benchmark",
+           "run_sim_benchmark", "check_replay_floors", "check_sim_floors"]
 
 # Stable name: __name__ is "__main__" under python -m, which
 # would escape the repro logger tree.
@@ -98,11 +94,6 @@ REPLAY_FLOORS = {
     "dip": 1.0, "ship": 1.5, "ghrp": 1.25, "hawkeye": 1.4,
     "thermometer-dueling": 1.6, "thermometer-online": 1.4,
 }
-
-#: The single-pass multi-policy sweep must never be slower than N
-#: independent replays of the same group (small tolerance for timer
-#: noise on the CI runners).
-MULTI_REPLAY_FLOOR = 0.9
 
 #: Seed speedup floors for the stage-decoupled ``simulate`` fast path
 #: (``repro.frontend.kernels``) against the reference ``_replay_region``
@@ -333,66 +324,6 @@ def run_replay_benchmark(apps, policies=DEFAULT_POLICIES,
     }
 
 
-def run_multi_benchmark(apps, policies, length: int = 60000,
-                        repeats: int = 3) -> dict:
-    """Single-pass multi-policy replay vs. N independent replays.
-
-    Mirrors the engine's :class:`~repro.harness.engine.GroupReplay`
-    path: one :meth:`Harness.run_misses_multi` sweep per app against a
-    serial :meth:`Harness.run_misses` loop over the same policies.
-    Traces, hints, and stream columns are precomputed so the timed
-    region is the replay; kernel dispatch stays at its ambient setting
-    (both modes dispatch identically, so the delta isolates the shared
-    stream walk of the slow-path policies in the group).
-    """
-    previous = set_registry(MetricsRegistry(enabled=False))
-    try:
-        prepared = []
-        for app in apps:
-            harness = Harness(HarnessConfig(apps=(app,), length=length))
-            trace = harness.trace(app)
-            stream = harness.stream(trace)
-            stream.next_use  # noqa: B018 - forces the Belady column
-            stream.partition()
-            hints = {p: _hints_for(harness, app, p) for p in policies
-                     if p in ("thermometer", "thermometer-dueling")}
-            prepared.append((harness, trace, hints))
-
-        def serial_pass() -> float:
-            start = time.perf_counter()
-            for harness, trace, hints in prepared:
-                for policy in policies:
-                    harness.run_misses(trace, policy,
-                                       hints=hints.get(policy))
-            return time.perf_counter() - start
-
-        def multi_pass() -> float:
-            start = time.perf_counter()
-            for harness, trace, hints in prepared:
-                harness.run_misses_multi(trace, policies,
-                                         hints_by_policy=hints)
-            return time.perf_counter() - start
-
-        serial_pass()  # warm allocations on both paths
-        multi_pass()
-        serial = multi = float("inf")
-        for _ in range(max(1, repeats)):
-            gc.collect()
-            serial = min(serial, serial_pass())
-            gc.collect()
-            multi = min(multi, multi_pass())
-    finally:
-        set_registry(previous)
-    speedup = serial / multi if multi else 0.0
-    return {
-        "policies": list(policies),
-        "serial_seconds": round(serial, 4),
-        "multi_seconds": round(multi, 4),
-        "speedup": round(speedup, 3),
-        "floor": MULTI_REPLAY_FLOOR,
-    }
-
-
 def check_replay_floors(record: dict,
                         floors: Dict[str, float]) -> List[str]:
     """Policies whose measured speedup fell below their recorded floor."""
@@ -519,11 +450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated policies for the replay "
                              "breakdown (default: every kernelized "
                              "policy)")
-    parser.add_argument("--multi-policies",
-                        default=",".join(KERNEL_POLICIES
-                                         + ("random", "brrip")),
-                        help="comma-separated policies for the "
-                             "multi-policy group sweep (empty skips it)")
     parser.add_argument("--sim-output", default="",
                         help="also run the per-app fast-vs-reference "
                              "simulate breakdown and write its record "
@@ -567,11 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         replay = run_replay_benchmark(replay_apps, replay_policies,
                                       args.length,
                                       repeats=max(1, args.repeats))
-        multi_policies = [p for p in args.multi_policies.split(",") if p]
-        if multi_policies:
-            replay["multi_policy"] = run_multi_benchmark(
-                replay_apps, multi_policies, args.length,
-                repeats=max(1, args.repeats))
         floors = dict(REPLAY_FLOORS)
         if args.replay_output != "-" and os.path.exists(args.replay_output):
             try:
@@ -591,11 +512,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "recorded floor %.2fx",
                       replay["policies"][policy]["speedup"], policy,
                       floors[policy])
-            failed = True
-        multi = replay.get("multi_policy")
-        if multi is not None and multi["speedup"] < multi["floor"]:
-            log.error("multi-policy sweep speedup %.3fx is below the "
-                      "floor %.2fx", multi["speedup"], multi["floor"])
             failed = True
     if args.sim_output:
         sim_apps = (list(app_names()) if args.sim_apps == "all"

@@ -7,13 +7,13 @@ Serve a multi-tenant artifact store on a local socket::
         --quota alice=268435456 --quota bob=268435456 --jobs 2
 
 Clients speak one JSON object per line (see ``docs/SERVICE.md`` and
-:mod:`repro.service.protocol`); concurrent requests for the same
-(app, input, config) group coalesce into one shared multi-policy sweep.
+:mod:`repro.service.protocol`); concurrent requests for the same tenant
+coalesce into one engine run.
 
 ``--smoke`` runs a self-test instead of serving: it binds an ephemeral
 port, submits two concurrent coalescible sweep requests plus one under
 a different tenant, and asserts that the coalesced pair shared exactly
-one sweep and one run while the tenants' namespaces stayed isolated —
+one engine run while the tenants' namespaces stayed isolated —
 the CI service-smoke job runs exactly this.
 """
 
@@ -76,9 +76,6 @@ async def _smoke(cache_dir: str, jobs: int) -> int:
               "requests were coalesced into one batch")
         check(done_a.get("run_id") == done_b.get("run_id"),
               "coalesced requests shared one engine run")
-        check(done_a.get("sweeps") == 1,
-              f"one shared multi-policy sweep "
-              f"(got {done_a.get('sweeps')})")
         results_a = [e for e in events_a if e.get("event") == "result"]
         check(len(results_a) == 2,
               f"both results streamed back (got {len(results_a)})")

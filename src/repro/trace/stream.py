@@ -39,8 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (btb -> trace)
     from repro.btb.config import BTBConfig
 
 __all__ = ["AccessStream", "NEVER", "SetPartition", "access_stream_for",
-           "adopt_stream", "clear_stream_cache",
-           "compute_next_use_indices", "compute_set_indices"]
+           "clear_stream_cache", "compute_next_use_indices",
+           "compute_set_indices"]
 
 #: Sentinel next-use index meaning "never accessed again" (shared with
 #: :mod:`repro.btb.replacement.opt`).
@@ -268,24 +268,6 @@ def access_stream_for(trace: BranchTrace,
         del _memo[key]
     stream = AccessStream(trace, config)
     _memo[key] = (weakref.ref(trace), stream)
-    while len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
-    return stream
-
-
-def adopt_stream(stream: AccessStream) -> AccessStream:
-    """Register a prebuilt stream in the memo under its own
-    ``(trace, config)`` key, so subsequent :func:`access_stream_for`
-    calls for that pair return it instead of rebuilding the columns.
-
-    Used by the shared-memory transfer path
-    (:mod:`repro.trace.shm`): an engine worker attaches the parent's
-    exported columns zero-copy and adopts the resulting stream, and
-    every replay in the worker then reuses them.
-    """
-    key = (id(stream.trace), len(stream.trace), stream.config)
-    _memo[key] = (weakref.ref(stream.trace), stream)
-    _memo.move_to_end(key)
     while len(_memo) > _MEMO_CAPACITY:
         _memo.popitem(last=False)
     return stream

@@ -117,14 +117,6 @@ class TestDifferentialIdentity:
         assert (fabric_cache["stage_counts"]
                 == serial_cache["stage_counts"])
 
-        # Group leases keep the shared-stream multi-policy sweep: the
-        # merged worker telemetry shows the same sweep count.
-        serial_sweeps = (serial_engine.last_run_telemetry["counters"]
-                         ["engine/multi_replay/sweeps"])
-        fabric_sweeps = (coord.engine.last_run_telemetry["counters"]
-                         ["engine/multi_replay/sweeps"])
-        assert fabric_sweeps == serial_sweeps > 0
-
         # Every artifact was mirrored home exactly once.
         counters = coord.engine.last_run_telemetry["counters"]
         assert counters["fabric/mirrored"] == len(jobs)

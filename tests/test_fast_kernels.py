@@ -1,5 +1,4 @@
-"""Set-partitioned fast-path kernels: dispatch, equivalence, and the
-shared-memory stream transfer.
+"""Set-partitioned fast-path kernels: dispatch and equivalence.
 
 The kernels in :mod:`repro.btb.kernels` must be *invisible*: whenever
 ``replay_stream`` takes the fast path, the resulting stats, BTB storage,
@@ -16,7 +15,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -293,64 +291,33 @@ def test_every_registry_policy_has_a_fast_path_story():
 
 
 # ----------------------------------------------------------------------
-# Shared-memory stream transfer
+# Parallel engine over a store that already holds its traces
 # ----------------------------------------------------------------------
 
-class TestSharedMemoryStreams:
-    def test_round_trip_and_replay_equivalence(self):
-        from repro.trace import shm
-        trace = make_app_trace("tomcat", length=4000)
-        stream = access_stream_for(trace, CONFIG)
-        exported = shm.export_stream(stream, "tomcat", 0, 4000)
-        try:
-            attached = shm.attach_stream(exported.handle)
-            assert attached.config == stream.config
-            np.testing.assert_array_equal(attached.pcs, stream.pcs)
-            np.testing.assert_array_equal(attached.targets, stream.targets)
-            np.testing.assert_array_equal(attached.set_indices,
-                                          stream.set_indices)
-            np.testing.assert_array_equal(attached.next_use,
-                                          stream.next_use)
-            np.testing.assert_array_equal(attached.trace.pcs, trace.pcs)
-            part, ref_part = attached.partition(), stream.partition()
-            np.testing.assert_array_equal(part.order, ref_part.order)
-            np.testing.assert_array_equal(part.starts, ref_part.starts)
-            assert part.pcs == ref_part.pcs
-            assert part.positions == ref_part.positions
+class TestEngineWarmTraces:
+    def test_parallel_rerun_matches_serial(self, tmp_path):
+        """Every parallel sweep over a reused store rebuilds its streams
+        in the worker from stored traces; the values must equal the
+        serial run that filled the store."""
+        import shutil
 
-            via_shm = replay_stream(attached,
-                                    BTB(CONFIG, make_policy("lru")))
-            direct = replay_stream(stream, BTB(CONFIG, make_policy("lru")))
-            assert dataclasses.asdict(via_shm) == dataclasses.asdict(direct)
-        finally:
-            exported.close()
-            exported.close()  # idempotent
-
-    def test_attach_after_unlink_raises(self):
-        from repro.trace import shm
-        trace = make_app_trace("python", length=2000)
-        stream = access_stream_for(trace, CONFIG)
-        exported = shm.export_stream(stream, "python", 0, 2000)
-        exported.close()
-        # Drop the process-level attach cache so a genuine re-attach is
-        # attempted against the unlinked block.
-        shm._attached.pop(exported.handle.shm_name, None)
-        with pytest.raises(FileNotFoundError):
-            shm.attach_stream(exported.handle)
-
-
-class TestEngineSharedMemoryEquivalence:
-    def test_parallel_shm_matches_serial_store_path(self, tmp_path,
-                                                    monkeypatch):
         from repro.harness.engine import ExperimentEngine, SimJob
         jobs = [SimJob(app=app, policy=policy, length=4000, mode="misses")
                 for app in ("tomcat", "python")
                 for policy in ("lru", "thermometer")]
-
-        monkeypatch.setenv("REPRO_SHM", "0")
-        serial = ExperimentEngine(cache_dir=tmp_path / "serial", jobs=1)
+        store = tmp_path / "store"
+        serial = ExperimentEngine(cache_dir=store, jobs=1)
         expected = [r.value for r in serial.run(jobs)]
 
-        monkeypatch.setenv("REPRO_SHM", "1")
-        parallel = ExperimentEngine(cache_dir=tmp_path / "parallel", jobs=2)
-        assert [r.value for r in parallel.run(jobs)] == expected
+        shutil.rmtree(store / "misses")
+        parallel = ExperimentEngine(cache_dir=store, jobs=2)
+        results = parallel.run(jobs)
+        assert [r.value for r in results] == expected
+        assert not any(r.cached for r in results)
+        # Only the replays were recomputed: traces, profiles, and hints
+        # all came from the store.
+        computed = {}
+        for r in results:
+            for stage, count in r.stats.stage_counts.items():
+                computed[stage] = computed.get(stage, 0) + count
+        assert computed == {"misses": len(jobs)}

@@ -1,18 +1,20 @@
-"""The shared job-identity helpers (:mod:`repro.harness.engine.keys`).
+"""The shared job-identity helpers (:mod:`repro.harness.engine.keys`)
+and the process-pool batching built on them.
 
-These keys are what the replay planner, the shared-memory stream
-export, and the service's request coalescer all agree on; their
-semantics are pinned here so a refactor in any one consumer cannot
-silently diverge from the others.
+These keys are what the job layer, the process-pool executor, and the
+fabric coordinator all agree on; their semantics are pinned here so a
+refactor in any one consumer cannot silently diverge from the others.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.btb.config import (BTBConfig, DEFAULT_BTB_CONFIG,
                               THERMOMETER_7979_CONFIG)
 from repro.harness.engine import SimJob
-from repro.harness.engine.keys import (batch_key, effective_btb_config,
-                                       replay_group_key, stream_key)
+from repro.harness.engine.executor import plan_batches
+from repro.harness.engine.keys import batch_key, effective_btb_config
 
 
 def job(**kwargs) -> SimJob:
@@ -40,57 +42,7 @@ class TestEffectiveConfig:
         assert a == b == THERMOMETER_7979_CONFIG
 
 
-class TestReplayGroupKey:
-    def test_policies_share_a_group(self):
-        assert (replay_group_key(job(policy="lru"))
-                == replay_group_key(job(policy="srrip"))
-                == replay_group_key(job(policy="opt")))
-
-    def test_sim_mode_is_not_groupable(self):
-        assert replay_group_key(job(mode="sim")) is None
-
-    def test_distinct_workloads_split_groups(self):
-        base = replay_group_key(job())
-        assert replay_group_key(job(app="kafka")) != base
-        assert replay_group_key(job(input_id=1)) != base
-        assert replay_group_key(job(length=8000)) != base
-
-    def test_distinct_geometry_splits_groups(self):
-        small = BTBConfig(entries=1024, ways=4)
-        assert (replay_group_key(job(btb_config=small))
-                != replay_group_key(job()))
-
-    def test_iso_storage_variant_groups_by_effective_geometry(self):
-        """thermometer-7979 replays the 7979-entry geometry no matter
-        the nominal config, so it must never share a sweep with
-        default-geometry jobs..."""
-        assert (replay_group_key(job(policy="thermometer-7979"))
-                != replay_group_key(job(policy="lru")))
-        # ...but two 7979 jobs with different *nominal* configs replay
-        # identically, and harness_config still separates their keys
-        # (the harness builds nominal-config streams).
-        a = replay_group_key(job(policy="thermometer-7979"))
-        b = replay_group_key(job(policy="thermometer-7979",
-                                 btb_config=BTBConfig(entries=512,
-                                                      ways=2)))
-        assert a[:4] == b[:4]
-        assert a != b
-
-    def test_harness_settings_split_groups(self):
-        assert (replay_group_key(job(warmup_fraction=0.3))
-                != replay_group_key(job()))
-
-
-class TestStreamAndBatchKeys:
-    def test_stream_key_uses_nominal_geometry(self):
-        assert (stream_key(job(policy="thermometer-7979"))
-                == stream_key(job(policy="lru")))
-
-    def test_stream_key_splits_on_geometry(self):
-        assert (stream_key(job(btb_config=BTBConfig(entries=1024,
-                                                    ways=4)))
-                != stream_key(job()))
-
+class TestBatchKey:
     def test_batch_key_merges_policies_and_modes(self):
         assert (batch_key(job(policy="lru"))
                 == batch_key(job(policy="srrip"))
@@ -100,13 +52,25 @@ class TestStreamAndBatchKeys:
         assert batch_key(job(length=8000)) != batch_key(job())
         assert batch_key(job(app="kafka")) != batch_key(job())
 
-
-class TestPlannerUsesSharedKeys:
-    def test_plan_groups_by_replay_group_key(self):
-        from repro.harness.engine import GroupReplay
-        jobs = [job(policy="lru"), job(policy="srrip"),
-                job(policy="lru", app="kafka"), job(mode="sim")]
-        groups = GroupReplay.plan(jobs)
-        assert groups[0] is not None and groups[0] is groups[1]
-        assert groups[2] is None  # singleton group: no sweep payoff
-        assert groups[3] is None  # sim mode never groups
+    @pytest.mark.parametrize("apps, target, expected", [
+        # As many batch groups as workers: nothing is split.
+        ("AAAB", 2, [[0, 1, 2], [3]]),
+        # Interleaved submissions still land in their group's batch.
+        ("ABA", 1, [[0, 2], [1]]),
+        # Fewer batches than workers: the largest is halved.
+        ("AAAA", 2, [[0, 1], [2, 3]]),
+        # ...repeatedly, always the largest, until there are enough.
+        ("AAAAB", 4, [[0], [1], [2, 3], [4]]),
+        # Only single-job batches left: stop short of the target.
+        ("AB", 4, [[0], [1]]),
+        ("AAA", 8, [[0], [1], [2]]),
+    ], ids=["enough-groups", "interleaved", "split-once", "split-largest",
+            "singletons", "split-to-singletons"])
+    def test_plan_batches(self, apps, target, expected):
+        names = {"A": "tomcat", "B": "kafka"}
+        jobs = [job(app=names[a], policy=f"p{i}")
+                for i, a in enumerate(apps)]
+        batches = plan_batches(jobs, target)
+        assert sorted(batches) == expected
+        for batch in batches:
+            assert len({batch_key(jobs[i]) for i in batch}) == 1

@@ -6,21 +6,27 @@ pure refactor: for every policy in the registry, replaying a trace through
 :class:`~repro.btb.btb.BTBStats` (and observer event streams) to a naive
 per-record reference loop that masks and indexes the trace itself and
 drives :meth:`BTB.access` scalar by scalar — the pre-kernel code shape.
+The single-sweep :func:`~repro.btb.btb.replay_stream_multi` must likewise
+match one :func:`~repro.btb.btb.replay_stream` per model, down to BTB
+storage and policy internals.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.btb.btb import BTB, run_btb
+from repro.btb import kernels
+from repro.btb.btb import BTB, replay_stream, replay_stream_multi, run_btb
 from repro.btb.config import BTBConfig
 from repro.btb.observer import EventRecorder
 from repro.btb.replacement.registry import make_policy, policy_names
 from repro.core.hints import HintMap
 from repro.frontend.simulator import FrontendSimulator
-from repro.trace.record import BranchKind, BranchTrace
+from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 from repro.trace.stream import access_stream_for, clear_stream_cache
 from repro.workloads import make_app_trace
 
@@ -29,6 +35,8 @@ LENGTH = 6000
 #: Small enough that the synthetic working sets overflow it, so replacement
 #: decisions (and therefore policy bugs) actually show up in the stats.
 CONFIG = BTBConfig(entries=256, ways=4)
+#: Tiny geometry for the randomized multi-replay property.
+TINY = BTBConfig(entries=8, ways=2)
 
 _RETURN = int(BranchKind.RETURN)
 
@@ -180,3 +188,115 @@ def test_target_mismatch_counted_once_per_drifting_hit():
     stats = run_btb(trace, BTB(CONFIG, make_policy("lru")))
     assert stats.hits == 2
     assert stats.target_mismatches == 1
+
+
+# ----------------------------------------------------------------------
+# replay_stream_multi vs. serial replay_stream
+# ----------------------------------------------------------------------
+
+_POLICY_ATTRS = ("_stamps", "_clock", "_rrpv", "_temps", "_resident_next",
+                 "_last_index", "covered_decisions", "uncovered_decisions",
+                 "_bits", "_psel", "_bip_counter", "_role",
+                 "_shct", "_signature", "_outcome", "_dead", "_tables",
+                 "_history", "_counters", "_friendly", "_taken", "_hits")
+
+
+def _policy_state(policy) -> dict:
+    state = {a: copy.deepcopy(getattr(policy, a))
+             for a in _POLICY_ATTRS if hasattr(policy, a)}
+    gens = getattr(policy, "_optgen", None)
+    if gens is not None:
+        state["_optgen"] = {s: (g.time, dict(g.last_time), list(g._occ))
+                            for s, g in gens.items()}
+    return state
+
+
+def _btb_state(btb: BTB) -> dict:
+    return {
+        "stats": dataclasses.asdict(btb.stats),
+        "tags": btb._tags.tolist(),
+        "targets": btb._targets.tolist(),
+        "reused": btb._reused.tolist(),
+        "fill_index": btb._fill_index.tolist(),
+        "dir": btb._dir,
+        "policy": _policy_state(btb.policy),
+    }
+
+
+def _build_all(trace: BranchTrace, config: BTBConfig):
+    """One fresh BTB per registry policy, OPT built from ``config``'s
+    shared stream."""
+    btbs = []
+    for name in policy_names():
+        if name == "opt":
+            policy = make_policy(
+                "opt", stream=access_stream_for(trace, config))
+        else:
+            policy = _policy(name, trace, reference=False)
+        btbs.append(BTB(config, policy))
+    return btbs
+
+
+@pytest.mark.parametrize("fast", (True, False), ids=("fast", "reference"))
+@pytest.mark.parametrize("app", APPS)
+def test_multi_matches_serial_replay(app, fast):
+    """One shared sweep over all registry policies equals one
+    independent replay per policy — storage and policy internals
+    included, on both dispatch paths."""
+    trace = _trace(app)
+    stream = access_stream_for(trace, CONFIG)
+    previous = kernels.set_fast_path_enabled(fast)
+    try:
+        serial = _build_all(trace, CONFIG)
+        for btb in serial:
+            replay_stream(stream, btb)
+        multi = _build_all(trace, CONFIG)
+        stats = replay_stream_multi(stream, multi)
+    finally:
+        kernels.set_fast_path_enabled(previous)
+    for name, one, many, st_ in zip(policy_names(), serial, multi, stats):
+        assert st_ is many.stats
+        assert _btb_state(many) == _btb_state(one), name
+        assert many.stats.accesses > 0
+
+
+def test_multi_drives_foreign_geometry_via_access():
+    """A BTB whose geometry differs from the stream's cannot reuse the
+    precomputed set indices; the shared loop must drive it through
+    ``BTB.access`` and still match a solo replay."""
+    trace = _trace("tomcat")
+    stream = access_stream_for(trace, CONFIG)
+    other_config = BTBConfig(entries=128, ways=4)
+    native = BTB(CONFIG, make_policy("lru"))
+    foreign = BTB(other_config, make_policy("srrip"))
+    replay_stream_multi(stream, [native, foreign])
+
+    solo_native = BTB(CONFIG, make_policy("lru"))
+    replay_stream(stream, solo_native)
+    solo_foreign = BTB(other_config, make_policy("srrip"))
+    run_btb(trace, solo_foreign)
+    assert _btb_state(native) == _btb_state(solo_native)
+    assert _btb_state(foreign) == _btb_state(solo_foreign)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7)),
+                      min_size=0, max_size=120))
+def test_multi_matches_serial_property(pairs):
+    """Randomized streams: the shared sweep equals serial replay for
+    every registry policy at a geometry small enough to overflow."""
+    records = [BranchRecord(pc=0x1000 + pc * 4, target=0x4000 + t * 4,
+                            kind=BranchKind.UNCOND_DIRECT, taken=True,
+                            ilen=4)
+               for pc, t in pairs]
+    trace = BranchTrace.from_records(records, name="prop")
+    clear_stream_cache()
+    stream = access_stream_for(trace, TINY)
+    serial = _build_all(trace, TINY)
+    for btb in serial:
+        replay_stream(stream, btb)
+    multi = _build_all(trace, TINY)
+    replay_stream_multi(stream, multi)
+    for name, one, many in zip(policy_names(), serial, multi):
+        assert _btb_state(many) == _btb_state(one), name
