@@ -44,7 +44,7 @@ from repro.fabric.peers import ArtifactServer, PeerBackedStore, \
     parse_address
 from repro.fabric.wire import pack, pack_bytes, unpack
 from repro.harness.engine.jobs import JobState
-from repro.harness.engine.worker import _execute_guarded
+from repro.harness.engine.worker import _execute_guarded, harness_for
 from repro.harness.runner import Harness, HarnessConfig
 from repro.service.framing import (ProtocolError, SocketFrameReader,
                                    send_frame)
@@ -185,17 +185,12 @@ class FabricWorker:
             if (fault is not None and fault.kind == "partition"
                     and not self._partitioned):
                 self._sever(index)
-            config = job.harness_config()
-            harness = self._harnesses.get(config)
-            if harness is None:
-                harness = Harness(config, store=self.store)
-                self._harnesses[config] = harness
-            if attempt > 0:
-                harness.invalidate(job.app, job.input_id)
             result = _execute_guarded(
                 job, index=index, attempt=attempt, store=self.store,
-                harness=harness, salt=self.store.salt,
-                job_timeout=self.job_timeout, in_worker=True)
+                harness=harness_for(self._harnesses, job, self.store,
+                                    attempt),
+                salt=self.store.salt, job_timeout=self.job_timeout,
+                in_worker=True)
             blob = None
             if result.state == JobState.SUCCEEDED:
                 blob = self.store.read_blob(

@@ -84,7 +84,7 @@ class ExperimentEngine:
     accepts a pre-built :class:`ArtifactStore` — in particular a tenant
     namespace from :meth:`ArtifactStore.namespace`, which scopes the
     run's artifacts *and* its manifests under that tenant's root;
-    ``executor=`` swaps the execution strategy (any
+    :meth:`set_executor` swaps the execution strategy (any
     :class:`~repro.harness.engine.executor.Executor`); ``on_result=``
     streams terminal :class:`JobResult`\\ s as they land; and
     :meth:`run_async` runs the whole sweep cooperatively on an asyncio
@@ -98,8 +98,7 @@ class ExperimentEngine:
                  max_retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
                  backoff_base: float = 0.25, backoff_cap: float = 8.0,
-                 store: Optional[ArtifactStore] = None,
-                 executor: Optional[Executor] = None):
+                 store: Optional[ArtifactStore] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         if store is not None:
             # A pre-built store (e.g. a tenant namespace) brings its own
@@ -133,7 +132,7 @@ class ExperimentEngine:
             self.manifest_dir = None
         if not write_manifest:
             self.manifest_dir = None
-        self._executor = executor
+        self._executor: Optional[Executor] = None
         #: The most recent run's manifest directory (None until a run
         #: completes with manifests enabled).
         self.last_manifest: Optional[Path] = None
@@ -305,8 +304,8 @@ class ExperimentEngine:
     async def run_async(self, jobs: Sequence[SimJob],
                         resume: Optional[str] = None,
                         on_result: Optional[Callable[[JobResult],
-                                                     None]] = None,
-                        concurrency: int = 1) -> List[JobResult]:
+                                                     None]] = None
+                        ) -> List[JobResult]:
         """:meth:`run` as a coroutine, attempts on event-loop threads.
 
         Identical semantics (states, retries, journal, manifest, the
@@ -314,16 +313,15 @@ class ExperimentEngine:
         the event loop keeps running while jobs compute, and terminal
         results stream through ``on_result`` as they land — this is the
         seam :mod:`repro.service` builds its request coalescing on.
-        ``concurrency`` bounds simultaneous attempts (see
-        :class:`~repro.harness.engine.executor.AsyncExecutor` for why it
-        defaults to 1).
+        Attempts run one at a time (see
+        :class:`~repro.harness.engine.executor.AsyncExecutor`).
         """
         ctx = self._begin_run(jobs, resume, on_result)
         failure: Optional[dict] = None
         self._used_workers = False
         try:
             pending = self._prepare(ctx)
-            await AsyncExecutor(self, concurrency).execute(ctx, pending)
+            await AsyncExecutor(self).execute(ctx, pending)
         except BaseException as exc:
             failure = {"where": type(self).__name__,
                        "error": f"{type(exc).__name__}: {exc}"}

@@ -28,7 +28,8 @@ from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
                                        _backoff_sleep, _fast_mode,
                                        backoff_delay)
 from repro.harness.engine.keys import batch_key
-from repro.harness.engine.worker import _execute_guarded, run_job_batch
+from repro.harness.engine.worker import (_execute_guarded, harness_for,
+                                         run_job_batch)
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.metrics import get_registry
 
@@ -96,16 +97,8 @@ class SerialExecutor(Executor):
             retry: List[int] = []
             for i in queue:
                 job = ctx.jobs[i]
-                config = job.harness_config()
-                harness = harnesses.get(config)
-                if harness is None:
-                    harness = Harness(config, store=engine.store)
-                    harnesses[config] = harness
-                if ctx.attempts[i] > 0:
-                    # Retries recompute through the store rather than the
-                    # harness's warm in-memory artifacts, so a quarantined
-                    # (corrupt) intermediate is rebuilt, not resurrected.
-                    harness.invalidate(job.app, job.input_id)
+                harness = harness_for(harnesses, job, engine.store,
+                                      ctx.attempts[i])
                 ctx.start_attempt(i)
                 result = _execute_guarded(
                     job, index=i, attempt=ctx.attempts[i] - 1,
@@ -196,53 +189,34 @@ class AsyncExecutor(Executor):
     compute, terminal results stream through ``ctx.on_result`` as they
     land, and retry backoff ``await``s instead of blocking.
 
-    ``concurrency`` bounds simultaneous attempts and defaults to 1: the
-    telemetry registry is process-global and not thread-safe, and one
-    compute thread already saturates a core on the pure-Python
-    simulators.  Counter deltas may interleave above 1 — raise it only
-    for I/O-bound (fully cached) sweeps.
+    Attempts run one at a time: the telemetry registry is process-global
+    and not thread-safe, and one compute thread already saturates a core
+    on the pure-Python simulators.
     """
-
-    def __init__(self, engine, concurrency: int = 1) -> None:
-        super().__init__(engine)
-        self.concurrency = max(1, int(concurrency))
 
     async def execute(self, ctx: RunContext,
                       pending: Sequence[int]) -> None:
         engine = self.engine
         loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(self.concurrency)
         harnesses: Dict[HarnessConfig, Harness] = {}
         queue = list(pending)
         round_no = 0
         while queue:
             retry: List[int] = []
-
-            async def attempt(i: int) -> None:
+            for i in queue:
                 job = ctx.jobs[i]
-                config = job.harness_config()
-                harness = harnesses.get(config)
-                if harness is None:
-                    harness = Harness(config, store=engine.store)
-                    harnesses[config] = harness
-                if ctx.attempts[i] > 0:
-                    harness.invalidate(job.app, job.input_id)
-                async with semaphore:
-                    ctx.start_attempt(i)
-                    result = await loop.run_in_executor(
-                        None, lambda: _execute_guarded(
-                            job, index=i, attempt=ctx.attempts[i] - 1,
-                            store=engine.store, harness=harness,
-                            salt=engine.salt,
-                            job_timeout=engine.job_timeout,
-                            in_worker=False))
+                harness = harness_for(harnesses, job, engine.store,
+                                      ctx.attempts[i])
+                ctx.start_attempt(i)
+                result = await loop.run_in_executor(
+                    None, lambda: _execute_guarded(
+                        job, index=i, attempt=ctx.attempts[i] - 1,
+                        store=engine.store, harness=harness,
+                        salt=engine.salt, job_timeout=engine.job_timeout,
+                        in_worker=False))
                 if ctx.record_outcome(i, result):
                     retry.append(i)
-
-            await asyncio.gather(*(attempt(i) for i in queue))
-            if retry:
-                retry.sort()
-                if not _fast_mode():
-                    await asyncio.sleep(self._backoff(ctx, round_no))
+            if retry and not _fast_mode():
+                await asyncio.sleep(self._backoff(ctx, round_no))
             queue = retry
             round_no += 1

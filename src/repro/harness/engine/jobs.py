@@ -25,7 +25,7 @@ from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
 from repro.harness.engine.keys import effective_btb_config
 from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.reporting import CacheStats
-from repro.harness.runner import Harness, HarnessConfig
+from repro.harness.runner import Harness, HarnessConfig, result_key_fields
 from repro.telemetry.tracing import TraceContext, trace_span
 
 log = logging.getLogger(__name__)
@@ -197,12 +197,8 @@ class SimJob:
 
     def key_fields(self) -> Dict[str, Any]:
         """Everything that can change this job's result."""
-        return dict(app=self.app, policy=self.policy,
-                    input_id=self.input_id, length=self.length,
-                    btb_config=self.btb_config, params=self.params,
-                    thresholds=tuple(self.thresholds),
-                    default_category=self.default_category,
-                    warmup_fraction=self.warmup_fraction)
+        return result_key_fields(self.harness_config(), self.app,
+                                 self.policy, self.input_id)
 
     def cache_key(self, salt: str = STORE_VERSION) -> str:
         from repro.harness.engine.store import artifact_key

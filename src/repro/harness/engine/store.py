@@ -325,14 +325,22 @@ class ArtifactStore:
         file quarantined (moved aside) so the caller recomputes the
         artifact instead of ever receiving stale bytes.
         """
-        registry = get_registry()
+        found = self._load(kind, key)
+        if found is None:
+            with self._lock:
+                self.stats.misses += 1
+            get_registry().count("store/miss")
+            return None
+        return self._count_hit(*found)
+
+    def _load(self, kind: str, key: str) -> Optional[Tuple[Any, int]]:
+        """Read and verify the local file: ``(value, envelope bytes)``,
+        or None when absent or corrupt (corruption is counted and the
+        file quarantined here)."""
         path = self.path(kind, key)
         try:
             blob = path.read_bytes()
         except OSError:
-            with self._lock:
-                self.stats.misses += 1
-            registry.count("store/miss")
             return None
         decoded, reason = self._decode(blob)
         if decoded is None:
@@ -340,20 +348,22 @@ class ArtifactStore:
                 self.stats.corrupt += 1
                 if reason == "digest":
                     self.stats.digest_failures += 1
-                self.stats.misses += 1
-            registry.count("store/miss")
-            registry.count("store/corrupt")
+            get_registry().count("store/corrupt")
             self._quarantine(kind, key, path)
             log.warning("corrupt %s artifact %s (%s, %d bytes); "
                         "quarantined for recompute", kind, key[:12],
                         reason, len(blob))
             return None
+        return decoded[0], len(blob)
+
+    def _count_hit(self, value: Any, size: int) -> Any:
         with self._lock:
             self.stats.hits += 1
-            self.stats.bytes_read += len(blob)
+            self.stats.bytes_read += size
+        registry = get_registry()
         registry.count("store/hit")
-        registry.count("store/bytes_read", len(blob))
-        return decoded[0]
+        registry.count("store/bytes_read", size)
+        return value
 
     def put(self, kind: str, key: str, obj: Any) -> None:
         """Atomically persist an artifact (write-to-temp + rename, so a
@@ -453,16 +463,17 @@ class ArtifactStore:
 
     def fetch(self, kind: str, key: str, compute: Callable[[], Any]) -> Any:
         """get-or-compute-and-put, timing the compute under stage
-        ``kind``.
+        ``kind``; a computed artifact counts one miss.
 
         Single-flight: when several threads fetch the same key
         concurrently, one runs ``compute`` and the rest block on it,
-        then read the stored artifact back — the compute never runs
-        twice for one key.  Distinct keys never block each other.
+        then read the stored artifact back from local disk (one hit) —
+        the compute never runs twice for one key.  Distinct keys never
+        block each other.
 
         Quota rejections never fail the fetch: the computed value is
-        returned uncached (the rejection is counted in the stats) and a
-        later fetch simply recomputes.
+        returned uncached (the rejection is counted in the stats and
+        logged) and a later fetch simply recomputes.
         """
         with trace_span("store/fetch", kind=kind) as span:
             cached = self.get(kind, key)
@@ -472,11 +483,13 @@ class ArtifactStore:
             span.set(hit=False)
             flight = self._flight_lock(kind, key)
             with flight:
-                # Another flight may have landed while we waited.
-                cached = self.get(kind, key)
-                if cached is not None:
+                # Another flight may have landed while we waited.  A
+                # local read that counts no second miss, so a peer-backed
+                # store asks its peers once.
+                found = self._load(kind, key)
+                if found is not None:
                     span.set(hit=True, coalesced=True)
-                    return cached
+                    return self._count_hit(*found)
                 start = time.perf_counter()
                 value = compute()
                 elapsed = time.perf_counter() - start
@@ -484,8 +497,9 @@ class ArtifactStore:
                     self.stats.add_stage(kind, elapsed)
                 try:
                     self.put(kind, key, value)
-                except QuotaExceededError:
-                    pass
+                except QuotaExceededError as exc:
+                    log.warning("%s artifact %s not cached: %s", kind,
+                                key[:12], exc)
             with self._lock:
                 self._flights.pop((kind, key), None)
             return value

@@ -18,9 +18,7 @@ from repro.harness.engine.jobs import (JobResult, JobState,
                                        _stats_delta, execute_job,
                                        job_deadline)
 from repro.harness.reporting import CacheStats
-from repro.harness.engine.store import (ArtifactStore,
-                                        QuotaExceededError,
-                                        STORE_VERSION)
+from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.profile_hooks import worker_profile
@@ -29,7 +27,26 @@ from repro.testing.faults import active_fault_plan, corrupt_file, inject
 
 log = logging.getLogger(__name__)
 
-__all__ = ["run_job", "run_job_batch"]
+__all__ = ["harness_for", "run_job", "run_job_batch"]
+
+
+def harness_for(harnesses: Dict[HarnessConfig, Harness], job: SimJob,
+                store: Optional[ArtifactStore], attempt: int) -> Harness:
+    """The harness for ``job``'s machine config from ``harnesses``
+    (built on first use), so every job of one config shares its memo.
+
+    A retry (``attempt > 0``) first drops the job's in-memory artifacts:
+    it then recomputes through the store rather than the harness's warm
+    memo, so a quarantined (corrupt) intermediate is rebuilt, not
+    resurrected.
+    """
+    config = job.harness_config()
+    harness = harnesses.get(config)
+    if harness is None:
+        harness = harnesses[config] = Harness(config, store=store)
+    if attempt > 0:
+        harness.invalidate(job.app, job.input_id)
+    return harness
 
 
 def run_job(job: SimJob, cache_root: Optional[str] = None,
@@ -40,9 +57,9 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
             in_worker: bool = False) -> JobResult:
     """Worker entry point (module-level so process pools can pickle it).
 
-    Checks the store for the finished result first; on a miss, computes it
-    through a harness whose intermediate artifacts (trace, profile, hints)
-    are themselves store-backed.
+    Fetches the finished result through the store: on a miss it is
+    computed through a harness whose intermediate artifacts (trace,
+    profile, hints) are themselves store-backed.
 
     ``index``/``attempt`` identify this attempt within an engine run; when
     a :mod:`fault plan <repro.testing.faults>` is active they select which
@@ -66,43 +83,33 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
     baseline = copy.deepcopy(store.stats) if store is not None else None
     telemetry_before = registry.snapshot() if registry.enabled else None
     start = time.perf_counter()
-    cached = False
+    computed = []
+
+    def compute():
+        computed.append(True)
+        return execute_job(job, harness=harness, store=store)
+
     # The job span's identity is the context pickled into the job, so a
     # process-pool worker's span links straight back to the request (or
     # engine run) that caused it.
     with trace_span("job", context=job.trace_context, app=job.app,
                     policy=job.policy, mode=job.mode, index=index,
                     attempt=attempt) as jspan:
-        if store is not None:
+        if store is None:
+            value = compute()
+        else:
             key = job.cache_key(salt=store.salt)
+            jspan.set(key=key)
             if store.tenant is not None:
                 jspan.set(tenant=store.tenant)
-            jspan.set(key=key)
-            with trace_span("store/get", kind=job.mode) as gspan:
-                value = store.get(job.mode, key)
-                gspan.set(hit=value is not None)
-            cached = value is not None
-            jspan.set(cached=cached)
-            if value is None:
-                with store.stats.stage(job.mode):
-                    value = execute_job(job, harness=harness, store=store)
-                try:
-                    with trace_span("store/put", kind=job.mode):
-                        store.put(job.mode, key, value)
-                except QuotaExceededError as exc:
-                    # The store is a cache: an over-quota namespace keeps
-                    # working, the successfully computed value is simply
-                    # returned uncached (retrying could never succeed).
-                    log.warning("result of %s/%s not cached: %s",
-                                job.app, job.policy, exc)
+            value = store.fetch(job.mode, key, compute)
             if fault is not None and fault.kind == "corrupt":
                 registry.count("faults/injected")
                 if corrupt_file(store.path(job.mode, key)):
                     log.warning("injected corruption into stored %s "
                                 "artifact of job %d", job.mode, index)
-        else:
-            value = execute_job(job, harness=harness)
-            jspan.set(cached=False)
+        cached = not computed
+        jspan.set(cached=cached)
     elapsed = time.perf_counter() - start
     stats = (_stats_delta(store.stats, baseline)
              if store is not None else CacheStats())
@@ -181,15 +188,10 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     results: List[JobResult] = []
     with worker_profile(cache_root):
         for job, index, attempt in zip(jobs, index_list, attempt_list):
-            config = job.harness_config()
-            harness = harnesses.get(config)
-            if harness is None:
-                harness = Harness(config, store=store)
-                harnesses[config] = harness
             results.append(_execute_guarded(
                 job, index=index, attempt=attempt, store=store,
-                harness=harness, salt=salt, job_timeout=job_timeout,
-                in_worker=True))
+                harness=harness_for(harnesses, job, store, attempt),
+                salt=salt, job_timeout=job_timeout, in_worker=True))
     # The profile hook records its gauges after every per-job delta was
     # taken; piggy-back them on the last result so they reach the parent.
     registry = get_registry()

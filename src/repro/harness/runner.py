@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.btb.btb import BTB, BTBStats, run_btb
 from repro.btb.config import (BTBConfig, DEFAULT_BTB_CONFIG,
@@ -20,7 +20,7 @@ from repro.trace.record import BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 from repro.workloads.datacenter import app_names, make_app_trace
 
-__all__ = ["Harness", "HarnessConfig", "PRIOR_POLICIES"]
+__all__ = ["Harness", "HarnessConfig", "PRIOR_POLICIES", "result_key_fields"]
 
 #: The prior replacement policies the paper compares against (Fig. 1).
 PRIOR_POLICIES = ("srrip", "ghrp", "hawkeye")
@@ -44,6 +44,18 @@ class HarnessConfig:
         return replace(self, length=length)
 
 
+def result_key_fields(config: HarnessConfig, app: str, policy: str,
+                      input_id: int = 0) -> Dict[str, Any]:
+    """Everything that can change a ``sim``/``misses`` result: the one
+    definition of a result's store-key fields, shared by
+    :meth:`Harness.lru_sim` and the engine's ``SimJob.key_fields``."""
+    return dict(app=app, policy=policy, input_id=input_id,
+                length=config.length, btb_config=config.btb_config,
+                params=config.params, thresholds=tuple(config.thresholds),
+                default_category=config.default_category,
+                warmup_fraction=config.warmup_fraction)
+
+
 class Harness:
     """Caches traces, profiles, hints, and baseline runs across experiments.
 
@@ -53,7 +65,7 @@ class Harness:
 
     ``store`` (an :class:`~repro.harness.engine.ArtifactStore`) adds a
     second, persistent cache level: artifacts missing from the in-memory
-    dicts are loaded from disk when available and written back when
+    memo are loaded from disk when available and written back when
     computed, so they are shared across processes and CLI invocations.
     """
 
@@ -62,9 +74,8 @@ class Harness:
         # object would alias config-derived state across harnesses.
         self.config = config if config is not None else HarnessConfig()
         self.store = store
-        self._traces: Dict[Tuple[str, int], BranchTrace] = {}
-        self._profiles: Dict[Tuple[str, int, BTBConfig], OptProfile] = {}
-        self._lru_sims: Dict[Tuple[str, int], SimResult] = {}
+        #: (kind, store-key fields) → artifact, in front of the store.
+        self._memo: Dict[Tuple[str, Tuple], Any] = {}
 
     def invalidate(self, app: Optional[str] = None,
                    input_id: Optional[int] = None) -> None:
@@ -76,83 +87,64 @@ class Harness:
         — a quarantined (corrupt) entry is then rebuilt instead of being
         resurrected from this harness's warm caches.
         """
-        def matches(key: Tuple) -> bool:
-            if app is not None and key[0] != app:
-                return False
-            if input_id is not None and key[1] != input_id:
-                return False
-            return True
+        def matches(fields: dict) -> bool:
+            return ((app is None or fields["app"] == app)
+                    and (input_id is None
+                         or fields["input_id"] == input_id))
 
-        for cache in (self._traces, self._profiles, self._lru_sims):
-            for key in [k for k in cache if matches(k)]:
-                del cache[key]
+        for key in [k for k in self._memo if matches(dict(k[1]))]:
+            del self._memo[key]
 
     def _fetch(self, kind: str, fields: dict, compute):
-        """Compute an artifact through the persistent store, if any.
+        """Get-or-compute one artifact: this harness's memo first, then
+        the persistent store (if any), then ``compute``.
 
-        Actual computes (in-memory and store misses, not store hits) run
+        Actual computes (memo and store misses, not store hits) run
         under a telemetry span named after the artifact kind, so span
         hierarchy mirrors the build graph (e.g. ``hints/profile/trace``
         when a hint map transitively computes its profile and trace).
         """
+        memo_key = (kind, tuple(fields.items()))
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+
         def timed():
             with get_registry().span(kind):
                 return compute()
 
         if self.store is None:
-            return timed()
-        return self.store.fetch(kind, self.store.key(kind, **fields),
-                                timed)
+            value = timed()
+        else:
+            value = self.store.fetch(kind, self.store.key(kind, **fields),
+                                     timed)
+        self._memo[memo_key] = value
+        return value
 
     def lru_sim(self, app: str, input_id: int = 0) -> SimResult:
         """Cached LRU-baseline timing run (the denominator of every
-        speedup figure)."""
-        key = (app, input_id)
-        cached = self._lru_sims.get(key)
-        if cached is None:
-            fields = dict(app=app, policy="lru", input_id=input_id,
-                          length=self.config.length,
-                          btb_config=self.config.btb_config,
-                          params=self.config.params,
-                          thresholds=tuple(self.config.thresholds),
-                          default_category=self.config.default_category,
-                          warmup_fraction=self.config.warmup_fraction)
-            cached = self._fetch(
-                "sim", fields,
-                lambda: self.run_sim(self.trace(app, input_id), "lru"))
-            self._lru_sims[key] = cached
-        return cached
+        speedup figure); it shares its store key with the engine's LRU
+        ``sim`` job for the same machine."""
+        return self._fetch(
+            "sim", result_key_fields(self.config, app, "lru", input_id),
+            lambda: self.run_sim(self.trace(app, input_id), "lru"))
 
     # ------------------------------------------------------------------
     # Cached artifacts
     # ------------------------------------------------------------------
     def trace(self, app: str, input_id: int = 0) -> BranchTrace:
-        key = (app, input_id)
-        cached = self._traces.get(key)
-        if cached is None:
-            fields = dict(app=app, input_id=input_id,
-                          length=self.config.length)
-            cached = self._fetch(
-                "trace", fields,
-                lambda: make_app_trace(app, input_id=input_id,
-                                       length=self.config.length))
-            self._traces[key] = cached
-        return cached
+        length = self.config.length
+        return self._fetch(
+            "trace", dict(app=app, input_id=input_id, length=length),
+            lambda: make_app_trace(app, input_id=input_id, length=length))
 
     def profile(self, app: str, input_id: int = 0,
                 btb_config: Optional[BTBConfig] = None) -> OptProfile:
         btb_config = btb_config or self.config.btb_config
-        key = (app, input_id, btb_config)
-        cached = self._profiles.get(key)
-        if cached is None:
-            fields = dict(app=app, input_id=input_id,
-                          length=self.config.length, btb_config=btb_config)
-            cached = self._fetch(
-                "profile", fields,
-                lambda: profile_trace(self.trace(app, input_id),
-                                      btb_config))
-            self._profiles[key] = cached
-        return cached
+        return self._fetch(
+            "profile", dict(app=app, input_id=input_id,
+                            length=self.config.length,
+                            btb_config=btb_config),
+            lambda: profile_trace(self.trace(app, input_id), btb_config))
 
     def temperatures(self, app: str, input_id: int = 0,
                      btb_config: Optional[BTBConfig] = None
@@ -163,18 +155,16 @@ class Harness:
     def hints(self, app: str, input_id: int = 0,
               btb_config: Optional[BTBConfig] = None,
               thresholds: Optional[Sequence[float]] = None) -> HintMap:
+        btb_config = btb_config or self.config.btb_config
         thresholds = tuple(thresholds or self.config.thresholds)
-
-        def compute() -> HintMap:
-            return ThresholdQuantizer(thresholds).quantize(
+        category = self.config.default_category
+        return self._fetch(
+            "hints", dict(app=app, input_id=input_id,
+                          length=self.config.length, btb_config=btb_config,
+                          thresholds=thresholds, default_category=category),
+            lambda: ThresholdQuantizer(thresholds).quantize(
                 self.temperatures(app, input_id, btb_config),
-                default_category=self.config.default_category)
-
-        fields = dict(app=app, input_id=input_id, length=self.config.length,
-                      btb_config=btb_config or self.config.btb_config,
-                      thresholds=thresholds,
-                      default_category=self.config.default_category)
-        return self._fetch("hints", fields, compute)
+                default_category=category))
 
     def stream(self, trace: BranchTrace,
                btb_config: Optional[BTBConfig] = None) -> AccessStream:

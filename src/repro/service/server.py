@@ -234,7 +234,7 @@ class SimulationService:
             # batches and record last_run_id/last_manifest/telemetry as
             # instance state, so an overlapping run_async would clobber
             # this batch's summary (and break AsyncExecutor's
-            # concurrency=1 telemetry assumption).
+            # one-attempt-at-a-time telemetry assumption).
             async with self._run_locks.setdefault(tenant,
                                                   asyncio.Lock()):
                 # Queue wait: window open -> tenant run lock acquired

@@ -10,9 +10,8 @@ link back to the client that caused them::
     client root span
       └─ service/request          (server-side, per wire request)
            └─ job                 (worker-side, span_id == the job's
-              ├─ store/get         pickled context)
-              ├─ replay
-              └─ store/put
+              └─ store/fetch       pickled context)
+                   └─ replay      (only when the result missed)
 
 Spans are **records**, not live objects: :func:`trace_span` times a block
 and appends one JSON-ready dict to the innermost :func:`collect_spans`

@@ -16,10 +16,15 @@ from pathlib import Path
 
 import pytest
 
+import repro.fabric.peers as peers_mod
 from repro.btb.config import BTBConfig
+from repro.fabric.peers import PeerBackedStore
 from repro.frontend.params import FrontendParams
 from repro.harness.engine import (ArtifactStore, SimJob, artifact_key,
                                   run_job)
+from repro.harness.runner import Harness
+from repro.telemetry.metrics import (MetricsRegistry, get_registry,
+                                     set_registry)
 
 JOB = SimJob(app="tomcat", policy="srrip", length=4000, mode="misses")
 
@@ -78,6 +83,28 @@ class TestKeyStability:
     def test_salt_invalidates(self):
         assert JOB.cache_key(salt="1") != JOB.cache_key(salt="2")
 
+    def test_pinned_literal_keys(self):
+        """Existing stores keep hitting: these keys must never drift."""
+        assert JOB.cache_key() == ("bb3c023fe907ca94284fea3335db0be7"
+                                   "746a6e9cdb52131970bb62751228c101")
+        lru = SimJob(app="tomcat", policy="lru", length=4000, mode="sim")
+        assert lru.cache_key() == ("c208b01ee91553520de82a1c009710e3"
+                                   "d8aeed5e2ef95160a7ea458baa63eb82")
+
+    def test_harness_lru_sim_shares_the_engine_job_artifact(self,
+                                                            tmp_path):
+        """``Harness.lru_sim`` and an engine LRU ``sim`` job key through
+        one function, so they share one stored artifact."""
+        job = SimJob(app="tomcat", policy="lru", length=4000, mode="sim")
+        store = ArtifactStore(tmp_path)
+        value = Harness(job.harness_config(), store=store).lru_sim("tomcat")
+        assert [p.name for p in (tmp_path / "sim").rglob("*.pkl")] == [
+            f"{job.cache_key()}.pkl"]
+        result = run_job(job, store=ArtifactStore(tmp_path))
+        assert result.cached
+        assert result.stats.hits == 1 and result.stats.misses == 0
+        assert result.value == value
+
     def test_dataclass_type_is_part_of_the_key(self):
         """Two different config types with coincidentally equal fields
         must not collide."""
@@ -121,6 +148,35 @@ class TestRoundTrip:
         assert store.fetch("misc", key, compute) == "value"
         assert calls == [1]
         assert store.stats.stage_counts == {"misc": 1}
+
+
+class TestFetchCounting:
+    def test_one_miss_per_computed_artifact_then_one_hit(self, tmp_path):
+        previous = set_registry(MetricsRegistry(enabled=True))
+        try:
+            store = ArtifactStore(tmp_path)
+            key = store.key("misc", tag="count")
+            assert store.fetch("misc", key, lambda: "value") == "value"
+            assert (store.stats.hits, store.stats.misses) == (0, 1)
+            assert get_registry().counters["store/miss"] == 1
+            assert store.fetch("misc", key, lambda: "other") == "value"
+            assert (store.stats.hits, store.stats.misses) == (1, 1)
+            assert get_registry().counters["store/miss"] == 1
+        finally:
+            set_registry(previous)
+
+    def test_peer_backed_miss_asks_each_peer_once(self, tmp_path,
+                                                  monkeypatch):
+        asked = []
+        monkeypatch.setattr(
+            peers_mod, "fetch_blob",
+            lambda address, kind, key, **kw: asked.append(address))
+        store = PeerBackedStore(tmp_path, peers=lambda: {
+            "a": "127.0.0.1:1", "b": "127.0.0.1:2"})
+        key = store.key("misc", tag="peers")
+        assert store.fetch("misc", key, lambda: "value") == "value"
+        assert sorted(asked) == ["127.0.0.1:1", "127.0.0.1:2"]
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
 
 
 class TestCorruption:

@@ -78,6 +78,21 @@ class TestRunner:
     def test_lru_sim_cached(self, harness):
         assert harness.lru_sim("tomcat") is harness.lru_sim("tomcat")
 
+    def test_invalidate_drops_only_the_named_app_and_input(self):
+        h = Harness(HarnessConfig(apps=("tomcat", "python"), length=4000))
+        kept = {}
+        for app, input_id in (("tomcat", 0), ("tomcat", 1), ("python", 0)):
+            kept[app, input_id] = (h.trace(app, input_id),
+                                   h.profile(app, input_id),
+                                   h.hints(app, input_id),
+                                   h.lru_sim(app, input_id))
+        h.invalidate("tomcat", 0)
+        for (app, input_id), artifacts in kept.items():
+            again = (h.trace(app, input_id), h.profile(app, input_id),
+                     h.hints(app, input_id), h.lru_sim(app, input_id))
+            same = [a is b for a, b in zip(artifacts, again)]
+            assert same == [(app, input_id) != ("tomcat", 0)] * 4
+
     def test_miss_reduction_pct(self, harness):
         from repro.btb.btb import BTBStats
         base = BTBStats(misses=100)

@@ -272,7 +272,7 @@ class TestEngineTracing:
                            length=LENGTH) for p in ("lru", "srrip")])
         spans = read_spans(engine.last_manifest)
         names = {s["name"] for s in spans}
-        assert {"engine/run", "job", "store/get"} <= names
+        assert {"engine/run", "job", "store/fetch"} <= names
         (root,) = [s for s in spans if s["name"] == "engine/run"]
         by_id = {s["span_id"]: s for s in spans}
         for span in spans:

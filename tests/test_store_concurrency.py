@@ -253,3 +253,7 @@ class TestAsyncInterleaving:
         # plus store hits absorb the other 18 calls.
         assert sorted(set(computes)) == sorted(computes)
         assert len(computes) == 6
+        # Every fetch that did not compute, coalesced waiters included,
+        # counts exactly one hit.
+        for tenant in ("alice", "bob"):
+            assert store.namespace(tenant).stats.hits == 9
