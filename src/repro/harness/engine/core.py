@@ -34,8 +34,7 @@ from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.tracing import (TraceContext, child_context,
-                                     new_span_id, span_record,
-                                     tracing_enabled)
+                                     new_span_id, span_record)
 
 log = logging.getLogger(__name__)
 
@@ -162,7 +161,7 @@ class ExperimentEngine:
         resumed_from = (self._resolve_resume(resume)
                         if resume is not None else None)
         run_trace = None
-        if tracing_enabled():
+        if registry.enabled:
             # The run's root span: when the caller (the service) already
             # stamped contexts onto the jobs, join that trace as a
             # sibling of those job spans; otherwise open a child of the

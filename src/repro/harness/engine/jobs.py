@@ -26,7 +26,7 @@ from repro.harness.engine.keys import effective_btb_config
 from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig, result_key_fields
-from repro.telemetry.tracing import TraceContext, trace_span
+from repro.telemetry.tracing import TraceContext
 
 log = logging.getLogger(__name__)
 
@@ -239,22 +239,18 @@ def execute_job(job: SimJob, harness: Optional[Harness] = None,
     """Run one job through a :class:`Harness` (no job-level caching)."""
     h = harness if harness is not None else Harness(job.harness_config(),
                                                    store=store)
-    with trace_span("harness/trace", app=job.app, input_id=job.input_id):
-        trace = h.trace(job.app, job.input_id)
+    trace = h.trace(job.app, job.input_id)
     hints = None
     if job.needs_hints:
         # Hints must be profiled against the geometry the policy runs
         # with; the iso-storage variant swaps in the 7979-entry config.
         hint_config = effective_btb_config(job.policy, job.btb_config)
-        with trace_span("harness/hints", app=job.app, policy=job.policy):
-            hints = h.hints(job.app, job.input_id, btb_config=hint_config)
-    with trace_span("replay", app=job.app, policy=job.policy,
-                    mode=job.mode):
-        if job.mode == "misses":
-            return h.run_misses(trace, job.policy,
-                                btb_config=job.btb_config, hints=hints)
-        return h.run_sim(trace, job.policy, btb_config=job.btb_config,
-                         hints=hints, params=job.params)
+        hints = h.hints(job.app, job.input_id, btb_config=hint_config)
+    if job.mode == "misses":
+        return h.run_misses(trace, job.policy, btb_config=job.btb_config,
+                            hints=hints)
+    return h.run_sim(trace, job.policy, btb_config=job.btb_config,
+                     hints=hints, params=job.params)
 
 
 def _stats_delta(current: CacheStats, baseline: CacheStats) -> CacheStats:

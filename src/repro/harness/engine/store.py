@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.tracing import trace_span
+from repro.telemetry.tracing import span
 
 log = logging.getLogger(__name__)
 
@@ -475,12 +475,12 @@ class ArtifactStore:
         returned uncached (the rejection is counted in the stats and
         logged) and a later fetch simply recomputes.
         """
-        with trace_span("store/fetch", kind=kind) as span:
+        with span("store/fetch", kind=kind) as live:
             cached = self.get(kind, key)
             if cached is not None:
-                span.set(hit=True)
+                live.set(hit=True)
                 return cached
-            span.set(hit=False)
+            live.set(hit=False)
             flight = self._flight_lock(kind, key)
             with flight:
                 # Another flight may have landed while we waited.  A
@@ -488,7 +488,7 @@ class ArtifactStore:
                 # store asks its peers once.
                 found = self._load(kind, key)
                 if found is not None:
-                    span.set(hit=True, coalesced=True)
+                    live.set(hit=True, coalesced=True)
                     return self._count_hit(*found)
                 start = time.perf_counter()
                 value = compute()

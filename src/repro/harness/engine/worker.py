@@ -22,7 +22,7 @@ from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.profile_hooks import worker_profile
-from repro.telemetry.tracing import collect_spans, trace_span
+from repro.telemetry.tracing import collect_spans, span
 from repro.testing.faults import active_fault_plan, corrupt_file, inject
 
 log = logging.getLogger(__name__)
@@ -92,9 +92,9 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
     # The job span's identity is the context pickled into the job, so a
     # process-pool worker's span links straight back to the request (or
     # engine run) that caused it.
-    with trace_span("job", context=job.trace_context, app=job.app,
-                    policy=job.policy, mode=job.mode, index=index,
-                    attempt=attempt) as jspan:
+    with span("job", context=job.trace_context, app=job.app,
+              policy=job.policy, mode=job.mode, index=index,
+              attempt=attempt) as jspan:
         if store is None:
             value = compute()
         else:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -61,20 +59,11 @@ class CacheStats:
     #: stage name → number of artifacts computed (cache misses filled).
     stage_counts: Dict[str, int] = field(default_factory=dict)
 
-    @contextmanager
-    def stage(self, name: str):
-        """Time one artifact computation under stage ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_stage(name, time.perf_counter() - start)
-
     def add_stage(self, name: str, seconds: float) -> None:
         """Record one computed artifact of stage ``name`` taking
-        ``seconds`` (the :meth:`stage` context manager's primitive; the
-        store also calls it directly so the accounting can happen under
-        its lock rather than around the compute)."""
+        ``seconds`` (:meth:`ArtifactStore.fetch
+        <repro.harness.engine.store.ArtifactStore.fetch>` calls it under
+        the store's lock)."""
         self.stage_seconds[name] = (self.stage_seconds.get(name, 0.0)
                                     + seconds)
         self.stage_counts[name] = self.stage_counts.get(name, 0) + 1

@@ -15,7 +15,7 @@ from repro.core.profiler import OptProfile, profile_trace
 from repro.core.temperature import TemperatureProfile
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
 from repro.frontend.simulator import FrontendSimulator, SimResult
-from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import span
 from repro.trace.record import BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 from repro.workloads.datacenter import app_names, make_app_trace
@@ -100,16 +100,19 @@ class Harness:
         the persistent store (if any), then ``compute``.
 
         Actual computes (memo and store misses, not store hits) run
-        under a telemetry span named after the artifact kind, so span
-        hierarchy mirrors the build graph (e.g. ``hints/profile/trace``
-        when a hint map transitively computes its profile and trace).
+        under a span named after the artifact kind, so the trace mirrors
+        the build graph (``hints`` → ``profile`` when a hint map computes
+        its profile).  A ``sim`` compute is :meth:`run_sim`, which opens
+        its own ``sim`` span.
         """
         memo_key = (kind, tuple(fields.items()))
         if memo_key in self._memo:
             return self._memo[memo_key]
 
         def timed():
-            with get_registry().span(kind):
+            if kind == "sim":
+                return compute()
+            with span(kind):
                 return compute()
 
         if self.store is None:
@@ -212,7 +215,7 @@ class Harness:
                    btb_config: Optional[BTBConfig] = None,
                    hints: Optional[HintMap] = None) -> BTBStats:
         """Replay only the BTB (no timing) — fast path for miss figures."""
-        with get_registry().span("misses"):
+        with span("misses"):
             btb = self.build_btb(policy_name, trace, btb_config, hints)
             return run_btb(trace, btb)
 
@@ -223,7 +226,7 @@ class Harness:
                 prefetcher=None, **oracle_flags) -> SimResult:
         """Full timing simulation; ``policy_name=None`` with
         ``perfect_btb=True`` runs the perfect-BTB oracle."""
-        with get_registry().span("sim"):
+        with span("sim"):
             params = params or self.config.params
             btb = None
             if not oracle_flags.get("perfect_btb"):

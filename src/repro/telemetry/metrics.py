@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, histograms, and wall-time spans.
+"""Process-local metrics: counters, gauges, histograms, and span totals.
 
 One :class:`MetricsRegistry` lives per process (``get_registry()``); the
 engine, harness, simulator, and artifact store all record into it.  Three
@@ -12,10 +12,10 @@ properties drive the design:
   *deltas* back inside :class:`~repro.harness.engine.JobResult` and the
   parent folds them together with :func:`merge_snapshots` — counters and
   spans add, histograms add bucket-wise, gauges last-write-wins.
-* **Hierarchical spans.**  ``span("hints")`` inside ``span("sim")``
-  records under the path ``"sim/hints"``, so the manifest can show where
-  wall time actually went (trace → profile → hints → sim nesting falls
-  out of the call graph for free).
+* **Spans keyed by name.**  :func:`repro.telemetry.tracing.span` adds
+  each timed block's count, seconds and error flag under its name
+  (``sim``, ``misses``, ``store/fetch``); how blocks nest is kept only
+  in the trace records, not in the registry.
 
 Metric names are ``/``-separated lowercase paths (``store/hit``,
 ``sim/stage/target/btb_stall_cycles``); see ``docs/TELEMETRY.md`` for the
@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -181,7 +179,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters + gauges + histograms + hierarchical wall-time spans.
+    """Counters + gauges + histograms + per-name span totals.
 
     Not thread-safe by design: the simulation is single-threaded per
     process, and worker processes each own their registry.
@@ -192,9 +190,8 @@ class MetricsRegistry:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        #: span path → [count, seconds, errors]
+        #: span name → [count, seconds, errors]
         self.spans: Dict[str, List[float]] = {}
-        self._span_stack: List[str] = []
 
     # -- mutators --------------------------------------------------------
     def count(self, name: str, value: float = 1) -> None:
@@ -218,41 +215,22 @@ class MetricsRegistry:
             self.histograms[name] = hist
         hist.observe(value)
 
-    @contextmanager
-    def span(self, name: str):
-        """Time a block under ``name``, nested inside any active spans
-        (``sim`` inside ``fig11`` records as ``fig11/sim``).  Exceptions
-        propagate but the span is still closed and its ``errors`` count
-        incremented."""
+    def add_span(self, name: str, seconds: float,
+                 failed: bool = False) -> None:
+        """Count one finished block of span ``name`` (see
+        :func:`repro.telemetry.tracing.span`)."""
         if not self.enabled:
-            yield
             return
-        self._span_stack.append(name)
-        path = "/".join(self._span_stack)
-        start = time.perf_counter()
-        failed = False
-        try:
-            yield
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            elapsed = time.perf_counter() - start
-            self._span_stack.pop()
-            record = self.spans.get(path)
-            if record is None:
-                record = [0, 0.0, 0]
-                self.spans[path] = record
-            record[0] += 1
-            record[1] += elapsed
-            record[2] += 1 if failed else 0
+        record = self.spans.setdefault(name, [0, 0.0, 0])
+        record[0] += 1
+        record[1] += seconds
+        record[2] += 1 if failed else 0
 
     def clear(self) -> None:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
         self.spans.clear()
-        self._span_stack.clear()
 
     # -- snapshots -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -262,10 +240,10 @@ class MetricsRegistry:
             "gauges": dict(self.gauges),
             "histograms": {name: h.to_dict()
                            for name, h in self.histograms.items()},
-            "spans": {path: {"count": int(rec[0]),
+            "spans": {name: {"count": int(rec[0]),
                              "seconds": float(rec[1]),
                              "errors": int(rec[2])}
-                      for path, rec in self.spans.items()},
+                      for name, rec in self.spans.items()},
         }
 
     def merge_snapshot(self, snap: dict) -> None:
@@ -284,17 +262,17 @@ class MetricsRegistry:
                 except BucketMismatchError as exc:
                     raise BucketMismatchError(
                         f"histogram {name!r}: {exc}") from None
-        for path, rec in snap.get("spans", {}).items():
-            record = self.spans.get(path)
+        for name, rec in snap.get("spans", {}).items():
+            record = self.spans.get(name)
             if record is None:
                 record = [0, 0.0, 0]
-                self.spans[path] = record
+                self.spans[name] = record
             record[0] += rec.get("count", 0)
             record[1] += rec.get("seconds", 0.0)
             record[2] += rec.get("errors", 0)
 
-    def span_seconds(self, path: str) -> float:
-        rec = self.spans.get(path)
+    def span_seconds(self, name: str) -> float:
+        rec = self.spans.get(name)
         return float(rec[1]) if rec is not None else 0.0
 
 
@@ -343,13 +321,13 @@ def snapshot_delta(after: dict, before: dict) -> dict:
                 "bounds": list(payload["bounds"]), "counts": counts,
                 "count": count, "sum": payload["sum"] - base["sum"]}
     before_spans = before.get("spans", {})
-    for path, rec in after.get("spans", {}).items():
-        base = before_spans.get(path, {})
+    for name, rec in after.get("spans", {}).items():
+        base = before_spans.get(name, {})
         count = rec["count"] - base.get("count", 0)
         seconds = rec["seconds"] - base.get("seconds", 0.0)
         errors = rec["errors"] - base.get("errors", 0)
         if count or errors or seconds:
-            delta["spans"][path] = {"count": count, "seconds": seconds,
+            delta["spans"][name] = {"count": count, "seconds": seconds,
                                     "errors": errors}
     return delta
 
@@ -436,13 +414,13 @@ def to_prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
         samples.append(f"{name}_count{_join_labels(labels)} "
                        f"{payload['count']}")
     span_families = (("seconds", f"{prefix}_span_seconds_total",
-                      "cumulative wall seconds per span path"),
+                      "cumulative wall seconds per span name"),
                      ("count", f"{prefix}_span_calls_total",
-                      "span entries per span path"),
+                      "span entries per span name"),
                      ("errors", f"{prefix}_span_errors_total",
-                      "spans closed by an exception, per span path"))
-    for path, record in sorted(snapshot.get("spans", {}).items()):
-        label = f'span="{path}"'
+                      "spans closed by an exception, per span name"))
+    for span_name, record in sorted(snapshot.get("spans", {}).items()):
+        label = f'span="{span_name}"'
         for key, name, help_text in span_families:
             family(name, "counter", help_text).append(
                 f"{name}{_join_labels(label)} "

@@ -1,4 +1,10 @@
-"""End-to-end request tracing: contexts, spans, cross-process linkage.
+"""One timing API: :func:`span` blocks, trace contexts, cross-process
+linkage.
+
+:func:`span` times a block once and feeds both telemetry records: the
+process registry's per-name aggregate (count, seconds, errors) and, when
+a :func:`collect_spans` scope is open, one trace record linked to the
+enclosing span.
 
 A **trace context** is the ``(trace_id, span_id, parent_id)`` triple that
 names one node of a request's causality tree.  Contexts are created at
@@ -11,20 +17,19 @@ link back to the client that caused them::
       └─ service/request          (server-side, per wire request)
            └─ job                 (worker-side, span_id == the job's
               └─ store/fetch       pickled context)
-                   └─ replay      (only when the result missed)
+                   └─ misses      (only when the result missed)
 
-Spans are **records**, not live objects: :func:`trace_span` times a block
-and appends one JSON-ready dict to the innermost :func:`collect_spans`
-scope (a contextvar, so concurrent asyncio tasks and worker threads
-cannot steal each other's spans).  Workers ship their collected spans
-home in ``JobResult.trace_spans``; the parent journals them into the
-run's ``events.jsonl`` next to the job-state rows, and
+Trace spans are **records**, not live objects: each finished block
+appends one JSON-ready dict to the innermost :func:`collect_spans` scope
+(a contextvar, so concurrent asyncio tasks and worker threads cannot
+steal each other's spans).  Workers ship their collected spans home in
+``JobResult.trace_spans``; the parent journals them into the run's
+``events.jsonl`` next to the job-state rows, and
 ``python -m repro.tools.trace_export`` renders the whole tree as Chrome
 trace-event / Perfetto JSON.
 
-Tracing rides the ``REPRO_TELEMETRY`` kill switch and has its own
-``REPRO_TRACING`` override; with either off, every entry point here is a
-cheap no-op.
+Tracing is on exactly when telemetry is: with the process registry
+disabled (``REPRO_TELEMETRY=0``) a :func:`span` block runs untimed.
 """
 
 from __future__ import annotations
@@ -37,22 +42,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.telemetry.metrics import telemetry_enabled
+from repro.telemetry.metrics import get_registry
 
 __all__ = ["Span", "TraceContext", "child_context", "collect_spans",
-           "current_context", "new_root_context", "new_span_id",
-           "new_trace_id", "record_span", "span_record", "trace_span",
-           "tracing_enabled"]
-
-
-def tracing_enabled() -> bool:
-    """Trace spans on/off: requires ``REPRO_TELEMETRY`` (the master
-    switch) and honors ``REPRO_TRACING=0`` to turn tracing alone off
-    while keeping metrics."""
-    if not telemetry_enabled():
-        return False
-    raw = os.environ.get("REPRO_TRACING", "1").strip().lower()
-    return raw not in ("0", "off", "false", "no", "")
+           "new_root_context", "new_span_id", "new_trace_id", "span",
+           "span_record"]
 
 
 def new_trace_id() -> str:
@@ -115,11 +109,6 @@ _SINK: ContextVar[Optional[List[dict]]] = ContextVar(
     "repro_trace_sink", default=None)
 
 
-def current_context() -> Optional[TraceContext]:
-    """The context of the innermost open :func:`trace_span` (or None)."""
-    return _CURRENT.get()
-
-
 def child_context(parent: Optional[TraceContext] = None) -> TraceContext:
     """A child of ``parent`` — or of the ambient context — or, with
     neither, a fresh root."""
@@ -164,14 +153,6 @@ def span_record(name: str, context: TraceContext, start_epoch: float,
     return record
 
 
-def record_span(record: Dict[str, Any]) -> None:
-    """Append an already-built span record to the active collection
-    scope (no-op outside one)."""
-    sink = _SINK.get()
-    if sink is not None:
-        sink.append(record)
-
-
 class _NullSpan:
     """The inert span yielded when tracing is off or uncollected."""
 
@@ -199,35 +180,42 @@ class Span:
 
 
 @contextmanager
-def trace_span(name: str, *, context: Optional[TraceContext] = None,
-               parent: Optional[TraceContext] = None, **args: Any):
-    """Time a block as one span and record it into the active
-    :func:`collect_spans` scope.
+def span(name: str, *, context: Optional[TraceContext] = None,
+         **args: Any) -> Iterator[Any]:
+    """Time a block as one span named ``name``.
 
-    ``context`` pins the span's identity (used for the worker-side job
-    span, whose identity is the context pickled into the job); otherwise
-    the span is a child of ``parent`` or of the ambient context.  The
-    block's ambient context becomes this span, so nested spans link up
-    automatically.  With tracing disabled — or no collection scope open
-    — the block runs untimed and an inert span is yielded.
+    With telemetry on (the process registry enabled) the block's count,
+    seconds and error flag are added to the registry under ``name``.
+    Inside a :func:`collect_spans` scope it also appends one trace
+    record: ``context`` pins the span's identity (the worker-side job
+    span, whose identity is the context pickled into the job);
+    otherwise the span is a child of the enclosing span, or a fresh
+    root.  The block's ambient context becomes this span, so nested
+    spans link up automatically.  Outside a scope the yielded span is
+    inert; its ``set(...)`` is accepted and dropped.
     """
-    sink = _SINK.get()
-    if sink is None or not tracing_enabled():
+    registry = get_registry()
+    if not registry.enabled:
         yield _NULL_SPAN
         return
-    ctx = context if context is not None else child_context(parent)
-    span = Span(name=name, context=ctx, args=dict(args))
-    token = _CURRENT.set(ctx)
-    start_epoch = time.time()
+    sink = _SINK.get()
+    live: Any = _NULL_SPAN
+    if sink is not None:
+        ctx = context if context is not None else child_context()
+        live = Span(name=name, context=ctx, args=dict(args))
+        token = _CURRENT.set(ctx)
+        start_epoch = time.time()
     start = time.perf_counter()
     failed = False
     try:
-        yield span
+        yield live
     except BaseException:
         failed = True
         raise
     finally:
         duration = time.perf_counter() - start
-        _CURRENT.reset(token)
-        sink.append(span_record(span.name, ctx, start_epoch, duration,
-                                args=span.args, error=failed))
+        registry.add_span(name, duration, failed)
+        if sink is not None:
+            _CURRENT.reset(token)
+            sink.append(span_record(name, ctx, start_epoch, duration,
+                                    args=live.args, error=failed))

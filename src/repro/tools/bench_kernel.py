@@ -12,10 +12,11 @@ Runs the same (apps × policies) miss sweep twice:
 
 Both modes run with telemetry disabled.  A separate replay-only sweep
 (traces/hints/streams precomputed, off/on/traced passes interleaved)
-measures the metrics registry's cost on the hot path as
-``telemetry_overhead_pct`` and the trace-span machinery's cost (a
-collection scope plus one ``trace_span`` per replay — the worker job
-path's instrumentation) as ``tracing_overhead_pct``.
+measures the cost of :func:`~repro.telemetry.tracing.span` on the hot
+path twice: with an enabled registry and no collection scope as
+``telemetry_overhead_pct``, and with a collection scope plus one
+``span("replay")`` per replay (standing in for the worker's ``job``
+span) as ``tracing_overhead_pct``.
 ``--max-overhead-pct`` (default 3) turns both budgets into an exit code
 so CI fails when instrumentation creeps into the replay hot loop.
 
@@ -60,6 +61,7 @@ from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.metrics import MetricsRegistry, set_registry
+from repro.telemetry.tracing import collect_spans, span
 from repro.trace.stream import access_stream_for, clear_stream_cache
 from repro.workloads import make_app_trace
 from repro.workloads.datacenter import app_names
@@ -149,11 +151,12 @@ def _measure_overhead(apps, policies, length: int,
     with off/on/traced passes interleaved so clock drift hits all three
     equally.  The enabled side is read from its own ``bench/replay``
     span so the span machinery is part of the measurement; the traced
-    side additionally opens one :func:`~repro.telemetry.tracing`
-    collection scope and a per-replay ``trace_span`` — exactly what the
-    worker's job path adds when tracing is on.
+    side additionally opens one
+    :func:`~repro.telemetry.tracing.collect_spans` scope and a
+    per-replay ``span("replay")``, standing in for the worker's ``job``
+    span; the ``misses`` span inside each replay then records a trace
+    span too, as it does in a worker.
     """
-    from repro.telemetry.tracing import collect_spans, trace_span
     prepared = []
     for app in apps:
         harness = Harness(HarnessConfig(apps=(app,), length=length))
@@ -172,43 +175,25 @@ def _measure_overhead(apps, policies, length: int,
         with collect_spans():
             start = time.perf_counter()
             for harness, trace, policy, hints in prepared:
-                with trace_span("replay", policy=policy):
+                with span("replay", policy=policy):
                     harness.run_misses(trace, policy, hints=hints)
             return time.perf_counter() - start
 
-    env_prev = {name: os.environ.get(name)
-                for name in ("REPRO_TELEMETRY", "REPRO_TRACING")}
     sweep()  # warm the stream memo and first-touch allocations
     off = on = traced = float("inf")
-    try:
-        for _ in range(repeats):
-            gc.collect()
-            set_registry(MetricsRegistry(enabled=False))
-            off = min(off, sweep())
-            gc.collect()
-            registry = MetricsRegistry(enabled=True)
-            set_registry(registry)
-            with registry.span("bench/replay"):
-                sweep()
-            on = min(on, registry.span_seconds("bench/replay"))
-            gc.collect()
-            # Force tracing on regardless of ambient env, so the budget
-            # is measured even where CI disables telemetry globally.
-            os.environ["REPRO_TELEMETRY"] = "1"
-            os.environ["REPRO_TRACING"] = "1"
-            set_registry(MetricsRegistry(enabled=True))
-            traced = min(traced, traced_sweep())
-            for name, value in env_prev.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-    finally:
-        for name, value in env_prev.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    for _ in range(repeats):
+        gc.collect()
+        set_registry(MetricsRegistry(enabled=False))
+        off = min(off, sweep())
+        gc.collect()
+        registry = MetricsRegistry(enabled=True)
+        set_registry(registry)
+        with span("bench/replay"):
+            sweep()
+        on = min(on, registry.span_seconds("bench/replay"))
+        gc.collect()
+        set_registry(MetricsRegistry(enabled=True))
+        traced = min(traced, traced_sweep())
     return off, on, traced
 
 

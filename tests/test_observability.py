@@ -27,11 +27,10 @@ from repro.telemetry.manifest import (read_events, read_run_manifest,
                                       synthesize_summary)
 from repro.telemetry.metrics import (BucketMismatchError, Histogram,
                                      LATENCY_BUCKETS, MetricsRegistry,
-                                     merge_snapshots, set_registry,
-                                     to_prometheus_text)
+                                     get_registry, merge_snapshots,
+                                     set_registry, to_prometheus_text)
 from repro.telemetry.tracing import (TraceContext, child_context,
-                                     collect_spans, new_root_context,
-                                     trace_span, tracing_enabled)
+                                     collect_spans, new_root_context, span)
 from repro.tools.trace_export import spans_to_chrome_trace
 
 LENGTH = 4000
@@ -88,53 +87,74 @@ class TestTraceContext:
         assert traced.cache_key() == job.cache_key()
 
 
+def _telemetry_off(monkeypatch):
+    """``REPRO_TELEMETRY=0`` and the registry a process started with it
+    builds (disabled)."""
+    monkeypatch.setenv("REPRO_TELEMETRY", "0")
+    set_registry(MetricsRegistry())
+
+
 class TestTraceSpan:
     def test_spans_collect_into_the_innermost_scope(self):
         with collect_spans() as outer:
-            with trace_span("a"):
+            with span("a"):
                 pass
             with collect_spans() as inner:
-                with trace_span("b"):
+                with span("b"):
                     pass
         assert [s["name"] for s in outer] == ["a"]
         assert [s["name"] for s in inner] == ["b"]
 
     def test_nested_spans_link_up_automatically(self):
         with collect_spans() as spans:
-            with trace_span("parent"):
-                with trace_span("child"):
+            with span("parent"):
+                with span("child"):
                     pass
         child, parent = spans  # children finish (and record) first
         assert child["name"] == "child"
         assert child["trace_id"] == parent["trace_id"]
         assert child["parent_id"] == parent["span_id"]
 
+    def test_one_block_is_one_registry_entry_and_one_linked_record(self):
+        registry = get_registry()
+        with collect_spans() as spans:
+            with span("outer"):
+                with span("inner", app="tomcat"):
+                    pass
+        inner, outer = spans
+        assert inner["parent_id"] == outer["span_id"]
+        assert inner["args"] == {"app": "tomcat"}
+        # The registry keys by name alone; nesting lives in the trace.
+        assert set(registry.spans) == {"outer", "inner"}
+        assert registry.spans["inner"][0] == 1
+        assert registry.spans["inner"][1] == pytest.approx(inner["dur"],
+                                                           abs=1e-5)
+
     def test_span_args_and_error_flag(self):
         with collect_spans() as spans:
             with pytest.raises(RuntimeError):
-                with trace_span("boom", app="tomcat") as span:
-                    span.set(policy="lru")
+                with span("boom", app="tomcat") as live:
+                    live.set(policy="lru")
                     raise RuntimeError("x")
         (record,) = spans
         assert record["error"] is True
         assert record["args"] == {"app": "tomcat", "policy": "lru"}
         assert record["dur"] >= 0
+        assert get_registry().spans["boom"][2] == 1
 
     def test_without_a_scope_spans_are_dropped(self):
-        with trace_span("orphan") as span:
-            span.set(ignored=True)  # the inert span accepts args
-
-    def test_repro_tracing_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACING", "0")
-        assert not tracing_enabled()
-        with collect_spans() as spans:
-            with trace_span("off"):
-                pass
-        assert spans == []
+        with span("orphan") as live:
+            live.set(ignored=True)  # the inert span accepts args
+        # Outside a scope the block still reaches the registry.
+        assert get_registry().spans["orphan"][0] == 1
 
     def test_telemetry_master_switch_disables_tracing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not tracing_enabled()
+        _telemetry_off(monkeypatch)
+        with collect_spans() as spans:
+            with span("off"):
+                pass
+        assert spans == []
+        assert get_registry().spans == {}
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +189,7 @@ class TestPrometheusText:
         registry.gauge("service/tenants", 2)
         registry.observe('service/request_seconds{tenant="alice"}',
                          0.2, bounds=LATENCY_BUCKETS)
-        with registry.span("replay"):
-            pass
+        registry.add_span("replay", 0.01)
         text = to_prometheus_text(registry.snapshot())
         assert_valid_exposition(text)
         assert "repro_engine_jobs_succeeded_total 3" in text
@@ -310,12 +329,31 @@ class TestEngineTracing:
 
     def test_tracing_off_leaves_the_journal_span_free(self, tmp_path,
                                                       monkeypatch):
-        monkeypatch.setenv("REPRO_TRACING", "0")
+        _telemetry_off(monkeypatch)
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
         engine.run([SimJob(app="tomcat", policy="lru", mode="misses",
                            length=LENGTH)])
         assert read_spans(engine.last_manifest) == []
         assert read_events(engine.last_manifest)
+
+    def test_missed_job_journals_its_compute_under_the_run(self,
+                                                           tmp_path):
+        """A missed ``misses`` job's chain is job → store/fetch →
+        misses, all under the run's root span."""
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+        engine.run([SimJob(app="tomcat", policy="lru", mode="misses",
+                           length=LENGTH)])
+        spans = read_spans(engine.last_manifest)
+        by_id = {s["span_id"]: s for s in spans}
+        (misses,) = [s for s in spans if s["name"] == "misses"]
+        chain = [misses["name"]]
+        current = misses
+        while current.get("parent_id") in by_id:
+            current = by_id[current["parent_id"]]
+            chain.append(current["name"])
+        assert chain == ["misses", "store/fetch", "job", "engine/run"]
+        assert by_id[misses["parent_id"]]["args"] == {"kind": "misses",
+                                                      "hit": False}
 
     def test_failed_attempts_still_ship_their_spans(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1,
@@ -633,7 +671,7 @@ class TestTraceExportTool:
     def test_export_without_spans_exits_nonzero(self, tmp_path,
                                                 monkeypatch):
         from repro.tools.trace_export import main
-        monkeypatch.setenv("REPRO_TRACING", "0")
+        _telemetry_off(monkeypatch)
         engine = ExperimentEngine(cache_dir=tmp_path / "cache", jobs=1)
         engine.run([SimJob(app="tomcat", policy="lru", mode="misses",
                            length=LENGTH)])

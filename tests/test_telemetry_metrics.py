@@ -8,6 +8,7 @@ from repro.telemetry.metrics import (DEFAULT_BUCKETS, Histogram,
                                      MetricsRegistry, get_registry,
                                      merge_snapshots, set_registry,
                                      snapshot_delta)
+from repro.telemetry.tracing import span
 
 
 @pytest.fixture
@@ -56,39 +57,38 @@ class TestHistogram:
 
 
 class TestSpans:
-    def test_nesting_builds_paths(self, registry):
-        with registry.span("sim"):
-            with registry.span("warmup"):
+    def test_nested_spans_key_by_name(self, registry):
+        with span("sim"):
+            with span("warmup"):
                 pass
-            with registry.span("measure"):
+            with span("measure"):
                 pass
-        with registry.span("sim"):
+        with span("sim"):
             pass
+        assert set(registry.spans) == {"sim", "warmup", "measure"}
         assert registry.spans["sim"][0] == 2
-        assert registry.spans["sim/warmup"][0] == 1
-        assert registry.spans["sim/measure"][0] == 1
+        assert registry.spans["warmup"][0] == 1
+        assert registry.spans["measure"][0] == 1
         assert registry.spans["sim"][1] >= (
-            registry.spans["sim/warmup"][1]
-            + registry.spans["sim/measure"][1])
+            registry.spans["warmup"][1] + registry.spans["measure"][1])
 
     def test_exception_closes_span_and_counts_error(self, registry):
         with pytest.raises(RuntimeError):
-            with registry.span("outer"):
-                with registry.span("inner"):
+            with span("outer"):
+                with span("inner"):
                     raise RuntimeError("boom")
-        # Both spans recorded despite the exception, stack unwound.
+        # Both spans recorded despite the exception.
         assert registry.spans["outer"] == [1, pytest.approx(
             registry.spans["outer"][1]), 1]
-        assert registry.spans["outer/inner"][2] == 1
-        assert registry._span_stack == []
-        # A later span nests from the top level again.
-        with registry.span("after"):
+        assert registry.spans["inner"][2] == 1
+        with span("after"):
             pass
-        assert "after" in registry.spans
+        assert registry.spans["after"] == [1, pytest.approx(
+            registry.spans["after"][1]), 0]
 
     def test_span_seconds(self, registry):
         assert registry.span_seconds("missing") == 0.0
-        with registry.span("x"):
+        with span("x"):
             pass
         assert registry.span_seconds("x") >= 0.0
 
@@ -99,8 +99,7 @@ class TestDisabled:
         reg.count("a")
         reg.gauge("b", 1.0)
         reg.observe("c", 2.0)
-        with reg.span("d"):
-            pass
+        reg.add_span("d", 1.0)
         snap = reg.snapshot()
         assert snap == {"counters": {}, "gauges": {}, "histograms": {},
                         "spans": {}}
@@ -119,8 +118,7 @@ class TestMergeSnapshots:
         reg.gauge("last_n", n)
         for value in range(n):
             reg.observe("sizes", float(value), bounds=(1.0, 10.0))
-        with reg.span("work"):
-            pass
+        reg.add_span("work", 0.5)
         return reg.snapshot()
 
     def test_parent_merges_n_workers(self, registry):
@@ -154,7 +152,7 @@ class TestSnapshotDelta:
         before = registry.snapshot()
         registry.count("grew", 2)
         registry.observe("h", 3.0)
-        with registry.span("s"):
+        with span("s"):
             pass
         delta = snapshot_delta(registry.snapshot(), before)
         assert delta["counters"] == {"grew": 2}
