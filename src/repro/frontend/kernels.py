@@ -24,6 +24,25 @@ the monolith — float-addition order included — so every
 event count, BTB stat, and component end-state is bit-identical to the
 reference loop.
 
+The direction, RAS and I-cache passes never read the BTB, so a figure
+that simulates one trace under several replacement policies (Fig. 11:
+LRU plus six) runs them once.  The first simulate stores their outcome
+columns (``dir_wrong``, ``ras_wrong``, ``fills``) and the
+``_l2_misses_at_warmup`` boundary value, with list-level copies of the
+predictor, RAS and I-cache end state, in a small
+:class:`~repro.trace.stream.TraceMemo`; later simulates of the same
+trace restore the copies and run only the BTB, IBTB and FDIP passes and
+the reduction.  The key is the trace object (identity, liveness
+weakref, length — not its access stream, so a different BTB geometry
+such as ``thermometer-7979`` still shares), the warmup boundary, the
+``FrontendParams``, the predictor type and ``icache.perfect``.  Sharing
+applies only to a machine whose predictor, RAS and I-cache are provably
+in their constructed state: the simulator built its own predictor
+(default TAGE, or ``perfect_bp``), it has never simulated, and every RAS
+and cache counter is zero.  Anything else computes the passes.
+:func:`~repro.trace.stream.clear_stream_cache` drops the entries;
+:func:`clear_shared_passes` drops only these.
+
 Dispatch mirrors the ``REPRO_FAST_REPLAY`` pattern of
 :mod:`repro.btb.kernels`: a ``REPRO_FAST_SIM`` kill switch, exact-type
 checks on every component, and instance-``__dict__`` probes for
@@ -55,10 +74,10 @@ from repro.frontend.ras import ReturnAddressStack
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import span
 from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
-from repro.trace.stream import AccessStream, access_stream_for
+from repro.trace.stream import AccessStream, TraceMemo, access_stream_for
 
-__all__ = ["fast_sim_enabled", "set_fast_sim_enabled", "fast_sim_supported",
-           "try_fast_simulate"]
+__all__ = ["clear_shared_passes", "fast_sim_enabled", "fast_sim_supported",
+           "set_fast_sim_enabled", "try_fast_simulate"]
 
 _RETURN = int(BranchKind.RETURN)
 _COND = int(BranchKind.COND_DIRECT)
@@ -559,6 +578,150 @@ def _fdip_pass(fdip: FDIPEngine, demand: np.ndarray, fills: List[float],
 
 
 # ----------------------------------------------------------------------
+# Shared policy-invariant passes
+# ----------------------------------------------------------------------
+# The direction, RAS and I-cache passes read the trace, the
+# FrontendParams and their own component, never the BTB.  A figure that
+# simulates one trace under several replacement policies (Fig. 11: LRU
+# plus six) would recompute identical outcome columns and identical
+# component end states for every policy.  The first simulate of a trace
+# stores both; later ones restore them and run only the BTB, IBTB and
+# FDIP passes.
+
+#: One entry per (trace, warmup boundary, params, predictor type,
+#: I-cache kind); a figure works through one trace at a time.
+_shared = TraceMemo(capacity=2)
+
+
+def clear_shared_passes() -> None:
+    """Drop the shared outcome passes but keep the memoized streams
+    (benchmarks that time the unshared passes)."""
+    _shared.clear()
+
+
+def _share_key(sim, warmup_end: int):
+    """The memo key of ``sim``'s policy-invariant passes, or None unless
+    its predictor, RAS and I-cache are provably in their constructed
+    state: a predictor the simulator built itself, no earlier simulate,
+    and every RAS and cache counter zero."""
+    predictor = sim.predictor
+    if sim._simulated or predictor is not sim._built_predictor:
+        return None
+    ptype = type(predictor)
+    if ptype is TageLitePredictor:
+        base = predictor._base
+        if type(base) is not BimodalPredictor \
+                or _patched(base, _PREDICTOR_HOOKS):
+            return None
+    elif ptype is not PerfectPredictor:
+        return None
+    params = sim.params
+    ras = sim.ras
+    if (ras._stack or ras.pushes or ras.pops or ras.mispredictions
+            or ras.overflows or ras.entries != params.ras_entries):
+        return None
+    icache = sim.icache
+    if icache.params != params:
+        return None
+    for level in (icache.l1i, icache.l2, icache.llc):
+        if level.accesses or level.misses or any(level._sets):
+            return None
+    return (warmup_end, params, ptype, icache.perfect)
+
+
+def _state_lists(sim) -> List[list]:
+    """Every list the shared passes mutate, in a fixed order."""
+    lists = [sim.ras._stack]
+    predictor = sim.predictor
+    if type(predictor) is TageLitePredictor:
+        lists.append(predictor._base._counters)
+        for table in predictor._tables:
+            lists.extend((table.tags, table.counters, table.useful))
+    icache = sim.icache
+    for level in (icache.l1i, icache.l2, icache.llc):
+        lists.extend(level._sets)
+    return lists
+
+
+def _state_scalars(sim) -> List[tuple]:
+    """Every ``(object, attribute)`` scalar the shared passes set."""
+    ras = sim.ras
+    pairs = [(sim, "_l2_misses_at_warmup"), (ras, "pushes"), (ras, "pops"),
+             (ras, "mispredictions"), (ras, "overflows")]
+    predictor = sim.predictor
+    if type(predictor) is TageLitePredictor:
+        pairs += [(predictor, "_history"), (predictor, "_provider"),
+                  (predictor, "_provider_slot")]
+    icache = sim.icache
+    for level in (icache.l1i, icache.l2, icache.llc):
+        pairs += [(level, "accesses"), (level, "misses")]
+    return pairs
+
+
+class _SharedPasses:
+    """One trace's policy-invariant outcome columns plus list-level
+    copies of the end state they leave in the predictor, RAS and
+    I-cache."""
+
+    __slots__ = ("dir_wrong", "ras_wrong", "fills", "lists", "scalars")
+
+    def __init__(self, sim, dir_wrong: np.ndarray, ras_wrong: np.ndarray,
+                 fills: List[float]):
+        dir_wrong.flags.writeable = False
+        ras_wrong.flags.writeable = False
+        self.dir_wrong = dir_wrong
+        self.ras_wrong = ras_wrong
+        self.fills = fills
+        self.lists = [list(values) for values in _state_lists(sim)]
+        self.scalars = [getattr(obj, attr)
+                        for obj, attr in _state_scalars(sim)]
+
+    def restore(self, sim) -> None:
+        """Put ``sim``'s constructed components into the stored end
+        state (same key, so same shapes)."""
+        for live, saved in zip(_state_lists(sim), self.lists, strict=True):
+            live[:] = saved
+        for (obj, attr), value in zip(_state_scalars(sim), self.scalars,
+                                      strict=True):
+            setattr(obj, attr, value)
+
+
+def _outcome_passes(sim, trace: BranchTrace, warmup_end: int, registry):
+    """``(dir_wrong, ras_wrong, fills)`` of the policy-invariant passes,
+    restored from the memo when ``sim`` may share them; counts one
+    ``sim/shared_passes`` hit or miss."""
+    key = _share_key(sim, warmup_end)
+    entry = None if key is None else _shared.get(trace, key)
+    if entry is not None:
+        registry.count("sim/shared_passes/hits")
+        entry.restore(sim)
+        return entry.dir_wrong, entry.ras_wrong, entry.fills
+    registry.count("sim/shared_passes/misses")
+    n = len(trace.pcs)
+    pcs = trace.pcs
+    targets = trace.targets
+    kinds = trace.kinds
+    taken = trace.taken
+    ilens = trace.ilens
+    dir_wrong = np.zeros(n, dtype=bool)
+    _direction_pass(sim.predictor, pcs, kinds, taken, dir_wrong)
+
+    ras_wrong = np.zeros(n, dtype=bool)
+    _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
+
+    next_fetch = np.empty(n, dtype=np.int64)
+    next_fetch[0] = pcs[0] - (int(ilens[0]) - 1) * INSTRUCTION_BYTES
+    if n > 1:
+        next_fetch[1:] = np.where(taken[:-1], targets[:-1],
+                                  pcs[:-1] + INSTRUCTION_BYTES)
+    fills = _icache_pass(sim, next_fetch, ilens, warmup_end)
+    if key is not None:
+        _shared.put(trace, key,
+                    _SharedPasses(sim, dir_wrong, ras_wrong, fills))
+    return dir_wrong, ras_wrong, fills
+
+
+# ----------------------------------------------------------------------
 # The fast simulate
 # ----------------------------------------------------------------------
 
@@ -596,26 +759,15 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
             ilens = trace.ilens
             warmup_end = int(n * warmup_fraction)
 
-            # -- vectorized precompute ---------------------------------
+            # -- policy-invariant outcome passes (shared) --------------
+            dir_wrong, ras_wrong, fills = _outcome_passes(
+                sim, trace, warmup_end, registry)
+
+            # -- per-policy passes -------------------------------------
             demand = ilens * params.backend_cpi
-            next_fetch = np.empty(n, dtype=np.int64)
-            next_fetch[0] = pcs[0] - (int(ilens[0]) - 1) * INSTRUCTION_BYTES
-            if n > 1:
-                next_fetch[1:] = np.where(
-                    taken[:-1], targets[:-1],
-                    pcs[:-1] + INSTRUCTION_BYTES)
-            is_ret = kinds == _RETURN
-            access_mask = taken & ~is_ret
+            access_mask = taken & (kinds != _RETURN)
             is_indirect = ((kinds == _CALL_INDIRECT)
                            | (kinds == _UNCOND_INDIRECT))
-
-            # -- independent outcome passes ----------------------------
-            dir_wrong = np.zeros(n, dtype=bool)
-            _direction_pass(sim.predictor, pcs, kinds, taken, dir_wrong)
-
-            ras_wrong = np.zeros(n, dtype=bool)
-            _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
-
             if perfect_btb:
                 hit_rec = access_mask
             else:
@@ -628,8 +780,6 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
             _ibtb_pass(sim.ibtb, pcs, targets,
                        np.flatnonzero(is_indirect & taken & hit_rec),
                        ibtb_wrong)
-
-            fills = _icache_pass(sim, next_fetch, ilens, warmup_end)
 
             redirects = (dir_wrong.astype(np.int8) + ras_wrong
                          + btb_miss + ibtb_wrong)

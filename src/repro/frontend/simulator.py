@@ -105,10 +105,19 @@ class FrontendSimulator:
         if btb is None and not perfect_btb:
             btb = BTB(DEFAULT_BTB_CONFIG)
         self.btb = btb
+        built = perfect_bp or predictor is None
         if perfect_bp:
             predictor = PerfectPredictor()
-        self.predictor = predictor if predictor is not None \
-            else TageLitePredictor()
+        elif predictor is None:
+            predictor = TageLitePredictor()
+        self.predictor = predictor
+        # The predictor this machine built itself (None for a caller's),
+        # and whether simulate() ever ran: together with zeroed RAS and
+        # cache counters they prove the components are in their
+        # constructed state, the precondition for sharing the
+        # policy-invariant passes (repro.frontend.kernels).
+        self._built_predictor = predictor if built else None
+        self._simulated = False
         self.prefetcher = prefetcher
         self.icache = InstructionHierarchy(params, perfect=perfect_icache)
         self.ibtb = IndirectBTB()
@@ -280,8 +289,11 @@ class FrontendSimulator:
         # hooks, or when REPRO_FAST_SIM disables it.  Imported lazily to
         # avoid a cycle (the kernel module constructs SimResult).
         from repro.frontend import kernels as _sim_kernels
-        fast = _sim_kernels.try_fast_simulate(self, trace, warmup_fraction,
-                                              stream)
+        try:
+            fast = _sim_kernels.try_fast_simulate(self, trace,
+                                                  warmup_fraction, stream)
+        finally:
+            self._simulated = True
         if fast is not None:
             return fast
 

@@ -573,6 +573,14 @@ def render_report(manifest: RunManifest, top: int = 12) -> str:
             f"{cache.get('quota_rejected', 0)} quota-rejected), "
             f"{cache.get('bytes_read', 0) / 1e6:.1f} MB read, "
             f"{cache.get('bytes_written', 0) / 1e6:.1f} MB written")
+    counters = s.get("telemetry", {}).get("counters", {})
+    shared_hits = counters.get("sim/shared_passes/hits", 0)
+    shared_total = shared_hits + counters.get("sim/shared_passes/misses", 0)
+    if shared_total:
+        lines.append(
+            f"shared frontend passes: {int(shared_hits)} of "
+            f"{int(shared_total)} simulates reused them "
+            f"({100.0 * shared_hits / shared_total:.0f}% reuse)")
     namespaces = s.get("namespaces") or []
     if namespaces:
         lines.extend(["", "-- tenant namespaces --"])

@@ -21,7 +21,9 @@ Python-list mirrors (``pcs_list`` etc.) are materialized lazily because
 scalar replay loops iterate plain ints 3-4× faster than numpy scalars.
 
 :func:`access_stream_for` memoizes streams per ``(trace, config)`` so a
-multi-policy sweep builds each stream exactly once.
+multi-policy sweep builds each stream exactly once; :class:`TraceMemo`,
+the bounded per-trace LRU behind it, also holds the frontend's shared
+outcome passes (:mod:`repro.frontend.kernels`).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (btb -> trace)
     from repro.btb.config import BTBConfig
 
-__all__ = ["AccessStream", "NEVER", "SetPartition", "access_stream_for",
-           "clear_stream_cache", "compute_next_use_indices",
-           "compute_set_indices"]
+__all__ = ["AccessStream", "NEVER", "SetPartition", "TraceMemo",
+           "access_stream_for", "clear_stream_cache",
+           "compute_next_use_indices", "compute_set_indices"]
 
 #: Sentinel next-use index meaning "never accessed again" (shared with
 #: :mod:`repro.btb.replacement.opt`).
@@ -240,39 +242,67 @@ class AccessStream:
 
 
 # ----------------------------------------------------------------------
-# Shared-stream memo
+# Per-trace memos
 # ----------------------------------------------------------------------
 
+class TraceMemo:
+    """A small LRU of values derived from one in-memory trace.
+
+    Keyed on trace *identity* plus a caller-chosen ``key`` (a liveness
+    weakref guards each entry, so a recycled ``id()`` can never alias a
+    dead trace).  Every instance is dropped by :func:`clear_stream_cache`.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: "OrderedDict[tuple, Tuple[weakref.ref, object]]" \
+            = OrderedDict()
+        _memos.append(self)
+
+    def get(self, trace: BranchTrace, key) -> Optional[object]:
+        """The value stored for ``(trace, key)``, or None."""
+        full = (id(trace), len(trace), key)
+        entry = self._entries.get(full)
+        if entry is None:
+            return None
+        ref, value = entry
+        if ref() is not trace:
+            del self._entries[full]
+            return None
+        self._entries.move_to_end(full)
+        return value
+
+    def put(self, trace: BranchTrace, key, value) -> None:
+        self._entries[(id(trace), len(trace), key)] = (weakref.ref(trace),
+                                                       value)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+_memos: List[TraceMemo] = []
+
 #: Streams kept alive by the memo; a multi-policy sweep touches one or two
-#: (trace, config) pairs at a time, so a small FIFO suffices.
-_MEMO_CAPACITY = 16
-_memo: "OrderedDict[Tuple[int, int, object], Tuple[object, AccessStream]]" \
-    = OrderedDict()
+#: (trace, config) pairs at a time, so a small LRU suffices.
+_streams = TraceMemo(capacity=16)
 
 
 def access_stream_for(trace: BranchTrace,
                       config: "BTBConfig") -> AccessStream:
-    """The shared :class:`AccessStream` for ``(trace, config)``.
-
-    Keyed on trace *identity* (plus a liveness weakref so a recycled
-    ``id()`` can never alias a dead trace), so every policy replayed over
-    the same in-memory trace reuses one set of columns.
-    """
-    key = (id(trace), len(trace), config)
-    entry = _memo.get(key)
-    if entry is not None:
-        ref, stream = entry
-        if ref() is trace:
-            _memo.move_to_end(key)
-            return stream
-        del _memo[key]
-    stream = AccessStream(trace, config)
-    _memo[key] = (weakref.ref(trace), stream)
-    while len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
+    """The shared :class:`AccessStream` for ``(trace, config)``, so every
+    policy replayed over the same in-memory trace reuses one set of
+    columns."""
+    stream = _streams.get(trace, config)
+    if stream is None:
+        stream = AccessStream(trace, config)
+        _streams.put(trace, config, stream)
     return stream
 
 
 def clear_stream_cache() -> None:
-    """Drop every memoized stream (tests and benchmarks)."""
-    _memo.clear()
+    """Drop every per-trace memo entry: streams and anything else kept in
+    a :class:`TraceMemo` (tests and benchmarks)."""
+    for memo in _memos:
+        memo.clear()

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.btb.btb import BTB
 from repro.btb.compressed import PartialTagBTB
-from repro.btb.config import BTBConfig
+from repro.btb.config import THERMOMETER_7979_CONFIG, BTBConfig
 from repro.btb.observer import EventRecorder
 from repro.frontend import kernels as simk
 from repro.frontend.branch_predictor import (AlwaysTakenPredictor,
@@ -28,8 +28,11 @@ from repro.frontend.branch_predictor import (AlwaysTakenPredictor,
                                              PerceptronPredictor,
                                              PerfectPredictor,
                                              TageLitePredictor)
+from repro.frontend.params import DEFAULT_FRONTEND_PARAMS
 from repro.frontend.simulator import FrontendSimulator
+from repro.harness.runner import Harness, HarnessConfig
 from repro.prefetch import NullPrefetcher
+from repro.telemetry.metrics import MetricsRegistry, set_registry
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 from repro.trace.stream import clear_stream_cache
 from repro.workloads import make_app_trace
@@ -41,7 +44,11 @@ LENGTH = 3000
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memo():
+def _fresh_memo(monkeypatch):
+    """Empty memos, and the fast path on regardless of
+    ``REPRO_FAST_SIM``: every test here turns it off explicitly where it
+    wants the reference loop."""
+    monkeypatch.setattr(simk, "_enabled", True)
     clear_stream_cache()
     yield
     clear_stream_cache()
@@ -101,7 +108,8 @@ def _component_state(sim: FrontendSimulator) -> dict:
 
 def _predictor_state(predictor) -> dict:
     """Structural snapshot of a predictor (nested objects flattened so
-    equality is by value, with TAGE's provider mapped to a table index)."""
+    equality is by value; TAGE's ``_provider`` is already a plain level
+    number or None and compares as it is)."""
 
     def norm(value):
         if isinstance(value, list):
@@ -110,11 +118,7 @@ def _predictor_state(predictor) -> dict:
             return {k: norm(v) for k, v in vars(value).items()}
         return value
 
-    state = {k: norm(v) for k, v in vars(predictor).items()}
-    provider = getattr(predictor, "_provider", None)
-    if provider is not None:
-        state["_provider"] = predictor._tables.index(provider)
-    return state
+    return {k: norm(v) for k, v in vars(predictor).items()}
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -166,6 +170,166 @@ def test_fast_simulate_repeated_runs_match():
                              _component_state(sim))
         finally:
             simk.set_fast_sim_enabled(prev)
+    assert results[True] == results[False]
+
+
+# ----------------------------------------------------------------------
+# Shared policy-invariant passes: one direction/RAS/I-cache pass per
+# trace, restored into every later simulate of a Fig. 11 policy group
+# ----------------------------------------------------------------------
+
+#: The Fig. 11 group: the LRU baseline plus the six compared policies.
+FIG11_POLICIES = ("lru", "srrip", "ghrp", "hawkeye", "thermometer",
+                  "thermometer-7979", "opt")
+
+
+def _fig11_harness(app: str) -> Harness:
+    return Harness(HarnessConfig(apps=(app,), length=LENGTH,
+                                 btb_config=CONFIG))
+
+
+def _fig11_group(harness: Harness, app: str, fast: bool, **flags) -> list:
+    """Simulate every Fig. 11 policy on one trace object, in figure
+    order; returns each run's (result, component state, predictor
+    state)."""
+    trace = harness.trace(app)
+    runs = []
+    prev = simk.set_fast_sim_enabled(fast)
+    try:
+        for policy in FIG11_POLICIES:
+            hints = None
+            if policy == "thermometer":
+                hints = harness.hints(app)
+            elif policy == "thermometer-7979":
+                hints = harness.hints(
+                    app, btb_config=THERMOMETER_7979_CONFIG)
+            btb = None
+            if not flags.get("perfect_btb"):
+                btb = harness.build_btb(policy, trace, hints=hints)
+            sim = FrontendSimulator(btb=btb, **flags)
+            result = sim.simulate(trace, warmup_fraction=0.2)
+            runs.append((dataclasses.asdict(result), _component_state(sim),
+                         _predictor_state(sim.predictor)))
+    finally:
+        simk.set_fast_sim_enabled(prev)
+    return runs
+
+
+@pytest.fixture
+def count_direction_passes(monkeypatch):
+    """Every call of the direction pass, recorded."""
+    calls = []
+    real = simk._direction_pass
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simk, "_direction_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags", [
+    {}, {"perfect_btb": True}, {"perfect_bp": True},
+    {"perfect_icache": True}], ids=["default", "perfect_btb", "perfect_bp",
+                                    "perfect_icache"])
+@pytest.mark.parametrize("app", ["kafka", "tomcat", "verilator"])
+def test_shared_passes_group_bit_identical(app, flags):
+    harness = _fig11_harness(app)
+    clear_stream_cache()
+    fast = _fig11_group(harness, app, fast=True, **flags)
+    clear_stream_cache()
+    reference = _fig11_group(harness, app, fast=False, **flags)
+    for policy, got, want in zip(FIG11_POLICIES, fast, reference):
+        assert got == want, policy
+
+
+def test_shared_passes_run_once_per_group(count_direction_passes):
+    harness = _fig11_harness("kafka")
+    _fig11_group(harness, "kafka", fast=True)
+    assert len(count_direction_passes) == 1
+
+
+def test_shared_passes_counted_in_registry():
+    harness = _fig11_harness("kafka")
+    clear_stream_cache()
+    registry = MetricsRegistry(enabled=True)
+    previous = set_registry(registry)
+    try:
+        _fig11_group(harness, "kafka", fast=True)
+    finally:
+        set_registry(previous)
+    assert registry.counters["sim/shared_passes/misses"] == 1
+    assert registry.counters["sim/shared_passes/hits"] == 6
+
+
+def test_clear_stream_cache_drops_shared_passes(count_direction_passes):
+    trace = make_app_trace("kafka", length=LENGTH)
+    FrontendSimulator(btb=BTB(CONFIG)).simulate(trace)
+    clear_stream_cache()
+    FrontendSimulator(btb=BTB(CONFIG)).simulate(trace)
+    assert len(count_direction_passes) == 2
+
+
+def _touch_icache(sim):
+    sim.icache.fetch_block_latency(0x4000, 8)
+
+
+#: Machines that must not reuse the passes of a default first run:
+#: name -> (simulator kwargs factory, pre-simulate hook, warmup fraction).
+UNSHAREABLE = {
+    "caller_predictor": (lambda: dict(btb=BTB(CONFIG),
+                                      predictor=TageLitePredictor()),
+                         None, 0.2),
+    "icache_touched": (lambda: dict(btb=BTB(CONFIG)), _touch_icache, 0.2),
+    "other_params": (lambda: dict(btb=BTB(CONFIG), params=dataclasses.replace(
+        DEFAULT_FRONTEND_PARAMS, l2_latency=13.0)), None, 0.2),
+    "other_warmup": (lambda: dict(btb=BTB(CONFIG)), None, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSHAREABLE))
+def test_unshareable_machine_recomputes(case, count_direction_passes):
+    kwargs, prepare, warm = UNSHAREABLE[case]
+    trace = make_app_trace("kafka", length=LENGTH)
+    FrontendSimulator(btb=BTB(CONFIG)).simulate(trace, warmup_fraction=0.2)
+    results = {}
+    for fast in (True, False):
+        sim = FrontendSimulator(**kwargs())
+        if prepare is not None:
+            prepare(sim)
+        prev = simk.set_fast_sim_enabled(fast)
+        try:
+            results[fast] = (dataclasses.asdict(
+                sim.simulate(trace, warmup_fraction=warm)),
+                _component_state(sim), _predictor_state(sim.predictor))
+        finally:
+            simk.set_fast_sim_enabled(prev)
+    assert len(count_direction_passes) == 2
+    assert results[True] == results[False]
+
+
+def test_second_simulate_on_one_machine_recomputes(count_direction_passes):
+    """Conditionals only, perfect I-cache: the first run leaves every RAS
+    and cache counter at zero, so only the machine's own run record
+    tells the warmed predictor apart from a constructed one."""
+    trace = BranchTrace.from_records(
+        [BranchRecord(pc=0x1000 + 4 * (i % 37), target=0x8000,
+                      kind=BranchKind.COND_DIRECT, taken=i % 3 == 0, ilen=4)
+         for i in range(400)], name="cond-only")
+    results = {}
+    for fast in (True, False):
+        clear_stream_cache()
+        sim = FrontendSimulator(btb=BTB(CONFIG), perfect_icache=True)
+        prev = simk.set_fast_sim_enabled(fast)
+        try:
+            sim.simulate(trace)
+            results[fast] = (dataclasses.asdict(sim.simulate(trace)),
+                             _component_state(sim),
+                             _predictor_state(sim.predictor))
+        finally:
+            simk.set_fast_sim_enabled(prev)
+    assert len(count_direction_passes) == 2
     assert results[True] == results[False]
 
 

@@ -56,6 +56,16 @@ class TestWriteReadRoundTrip:
         assert read_run_manifest(first).run_id == "a-run"
         assert read_run_manifest(second / "summary.json").run_id == "b-run"
 
+    def test_report_shows_shared_frontend_pass_reuse(self, tmp_path):
+        results = [_fake_result("a", "lru", 1.0,
+                                {"sim/shared_passes/misses": 1,
+                                 "sim/shared_passes/hits": 6})]
+        run_dir = write_run_manifest(tmp_path, results, wall_seconds=1.0,
+                                     workers=1)
+        rendered = render_report(read_run_manifest(run_dir))
+        assert ("shared frontend passes: 6 of 7 simulates reused them "
+                "(86% reuse)") in rendered
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_run_manifest(tmp_path)

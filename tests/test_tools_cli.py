@@ -228,6 +228,34 @@ class TestBenchKernel:
         assert "telemetry_overhead_pct" in record
         assert "telemetry_overhead_pct" in capsys.readouterr().out
 
+    def test_sim_record_times_the_fig11_group(self):
+        from repro.tools import bench_kernel
+        record = bench_kernel.run_sim_benchmark(["tomcat"], length=4000,
+                                                repeats=1)
+        group = record["group"]
+        assert group["policies"] == list(bench_kernel.SIM_GROUP_POLICIES)
+        timing = group["apps"]["tomcat"]
+        assert timing["shared_seconds"] > 0
+        assert timing["unshared_seconds"] > 0
+        assert group["geomean_speedup"] == pytest.approx(timing["speedup"],
+                                                         abs=1e-3)
+
+    def test_sim_group_floor_exit_code(self, tmp_path, monkeypatch):
+        from repro.tools import bench_kernel
+        monkeypatch.setattr(
+            bench_kernel, "run_benchmark",
+            lambda *a, **k: {"telemetry_overhead_pct": 0.0,
+                             "bench": "kernel"})
+        monkeypatch.setattr(
+            bench_kernel, "run_sim_benchmark",
+            lambda *a, **k: {"bench": "sim", "geomean_speedup": 3.0,
+                             "apps": {"tomcat": {"speedup": 3.0}},
+                             "group": {"geomean_speedup": 1.2}})
+        out = tmp_path / "BENCH_sim.json"
+        out.write_text(json.dumps({"floors": {"group": 1.5}}))
+        assert bench_kernel.main(["--output", "-", "--sim-output",
+                                  str(out), "--sim-apps", "tomcat"]) == 1
+
     def test_overhead_budget_exit_code(self, tmp_path, monkeypatch):
         from repro.tools import bench_kernel
         monkeypatch.setattr(
